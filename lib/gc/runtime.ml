@@ -53,20 +53,23 @@ type t = {
   mature_dram_meta : int Vec.t;  (* line-mark chunk base per 4 MB region *)
   mature_pcm_meta : int Vec.t;
   mdo_tables : (int, int) Hashtbl.t;  (* region base -> mark table base *)
-  mutable now : float;
+  (* The allocation clock, in an unboxed float slot: a [mutable float]
+     field of this mixed record would box on every allocation. *)
+  clock : float array;
   mutable nursery_alloc_since_gc : int;  (* small objects only *)
   mutable large_alloc_since_gc : int;  (* all large allocation *)
   mutable loo_enabled : bool;
   mutable recent_survival : float;
   mutable gc_hook : Phase.t -> unit;
-  mutable event_hook : Trace.event -> unit;
+  (* Events are only built when a hook is installed. *)
+  mutable event_hook : (Trace.event -> unit) option;
   mutable in_major : bool;
   mutable pcm_writes_at_last_major : int;
 }
 
 let config t = t.cfg
 let stats t = t.stats
-let now t = t.now
+let[@inline] now t = Array.unsafe_get t.clock 0
 let domains t = t.domains
 let parallel_gc t = Gc_par.parallel t.par
 let shutdown t = Gc_par.shutdown t.par
@@ -88,7 +91,7 @@ let add_gc_hook t f =
   let g = t.gc_hook in
   t.gc_hook <- (fun p -> g p; f p)
 
-let set_event_hook t f = t.event_hook <- f
+let set_event_hook t f = t.event_hook <- Some f
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (for the invariant auditor and tests)                 *)
@@ -242,13 +245,13 @@ let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () 
     mature_dram_meta;
     mature_pcm_meta;
     mdo_tables;
-    now = 0.0;
+    clock = [| 0.0 |];
     nursery_alloc_since_gc = 0;
     large_alloc_since_gc = 0;
     loo_enabled = false;
     recent_survival = 0.2;
     gc_hook = (fun _ -> ());
-    event_hook = (fun _ -> ());
+    event_hook = None;
     in_major = false;
     pcm_writes_at_last_major = 0;
   }
@@ -268,10 +271,19 @@ let usage t =
     meta_used = Meta_space.usage_bytes t.meta;
   }
 
+(* Summed directly rather than through [usage]: [maybe_major] asks on
+   every allocation, which must not build a record. *)
 let heap_used t =
-  let u = usage t in
-  u.nursery_used + u.observer_used + u.mature_dram_used + u.mature_pcm_used
-  + u.los_dram_used + u.los_pcm_used
+  let nursery = ref 0 in
+  for d = 0 to Array.length t.nurseries - 1 do
+    nursery := !nursery + Bump_space.used_bytes t.nurseries.(d)
+  done;
+  !nursery
+  + (match t.observer with Some o -> Bump_space.used_bytes o | None -> 0)
+  + (match t.mature_dram with Some s -> Immix_space.live_bytes s | None -> 0)
+  + Immix_space.live_bytes t.mature_pcm
+  + (match t.los_dram with Some l -> Los.live_bytes l | None -> 0)
+  + Los.live_bytes t.los_pcm
 
 let live_large_bytes t =
   Los.live_bytes t.los_pcm
@@ -338,9 +350,10 @@ let referrer_update_writes t moved =
    write — the GC-phase PCM traffic of §6.1.6. *)
 let process_remset t rs =
   let st = t.stats in
+  let now = now t in
   Remset.iter rs (fun { Remset.slot_addr; target } ->
       st.Gc_stats.scanned_objects <- st.Gc_stats.scanned_objects + 1;
-      if O.is_live t.words target t.now then begin
+      if O.is_live t.words target now then begin
         Mem_iface.write t.mem ~addr:slot_addr ~size:Layout.word;
         st.Gc_stats.remset_slot_updates <- st.Gc_stats.remset_slot_updates + 1
       end);
@@ -352,7 +365,7 @@ let process_remset t rs =
 (* Every collection phase follows one protocol: a *plan* step
    classifies a contiguous slice of the work per team member, writing
    only slice-private buffers (liveness and header predicates are
-   stable during the stop-the-world section — [t.now] does not advance
+   stable during the stop-the-world section — the clock does not advance
    and no mutator runs), and a sequential *apply* step replays the
    buffers in slice order. [Parfor.slice] ranges concatenate back to
    the original index order, so the apply visits exactly the objects
@@ -442,10 +455,11 @@ let collect_nursery t =
     max 1 (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries)
   in
   let par = Gc_par.runner t.par in
+  let now = now t in
   let live = Array.init t.domains (fun _ -> Vec.create ()) in
   Parfor.run par (fun d ->
       Vec.iter
-        (fun o -> if O.is_live w o t.now then Vec.push live.(d) o)
+        (fun o -> if O.is_live w o now then Vec.push live.(d) o)
         (Bump_space.objects t.nurseries.(d)));
   Array.iteri
     (fun d nursery ->
@@ -494,13 +508,14 @@ let evacuate_observer t obs =
   let width = Parfor.width par in
   let objs = Bump_space.objects obs in
   let n = Vec.length objs in
+  let now = now t in
   let dead = Array.init width (fun _ -> Vec.create ()) in
   let live = Array.init width (fun _ -> Vec.create ()) in
   Parfor.run par (fun i ->
       let lo, hi = Parfor.slice ~len:n ~width i in
       for k = lo to hi do
         let o = Vec.get objs k in
-        if O.is_live w o t.now then Vec.push live.(i) o else Vec.push dead.(i) o
+        if O.is_live w o now then Vec.push live.(i) o else Vec.push dead.(i) o
       done);
   for i = 0 to width - 1 do
     Vec.iter (fun o -> Gc_stats.retire st w o) dead.(i);
@@ -584,7 +599,7 @@ let sweep_immix t space meta_chunks =
     Mem_iface.write t.mem ~addr ~size:lines
   in
   ignore
-    (Immix_space.sweep space ~now:t.now ~write_meta
+    (Immix_space.sweep space ~now:(now t) ~write_meta
        ~on_dead:(fun o -> Gc_stats.retire t.stats t.words o)
        ~par:(Gc_par.runner t.par) ())
 
@@ -592,7 +607,7 @@ let sweep_immix t space meta_chunks =
    in its header, in whatever memory holds the object. *)
 let collect_los t los ~keep =
   let evicted =
-    Los.collect los ~now:t.now ~keep
+    Los.collect los ~now:(now t) ~keep
       ~on_dead:(fun o -> Gc_stats.retire t.stats t.words o)
       ()
   in
@@ -605,6 +620,7 @@ let major_gc_inner t =
   let st = t.stats in
   st.Gc_stats.major_gcs <- st.Gc_stats.major_gcs + 1;
   let work0 = copied_scanned st in
+  let now = now t in
   (* Collect the young generation(s) first. *)
   (match t.observer with
   | Some _ ->
@@ -626,7 +642,7 @@ let major_gc_inner t =
      parallel, apply [mark_object] (which issues the trace-read and
      mark-write port traffic) in slice order. *)
   let mark_space space ~in_pcm =
-    let live = plan_filter par (Immix_space.objects space) (fun o -> O.is_live w o t.now) in
+    let live = plan_filter par (Immix_space.objects space) (fun o -> O.is_live w o now) in
     Array.iter (Vec.iter (fun o -> mark_object t ~mdo ~in_pcm o)) live
   in
   mark_space t.mature_pcm ~in_pcm:true;
@@ -645,7 +661,7 @@ let major_gc_inner t =
   | Some mature_dram ->
     let to_pcm =
       plan_filter par (Immix_space.objects mature_dram) (fun o ->
-          O.is_live w o t.now && not (O.written w o))
+          O.is_live w o now && not (O.written w o))
     in
     Array.iter
       (Vec.iter (fun o ->
@@ -658,7 +674,7 @@ let major_gc_inner t =
       to_pcm;
     let to_dram =
       plan_filter par (Immix_space.objects t.mature_pcm) (fun o ->
-          O.is_live w o t.now && O.written w o && O.space w o = sp_mature_pcm)
+          O.is_live w o now && O.written w o && O.space w o = sp_mature_pcm)
     in
     Array.iter
       (Vec.iter (fun o ->
@@ -713,14 +729,14 @@ let major_gc_inner t =
     Immix_space.remove_foreign t.mature_pcm;
     List.iter
       (fun o ->
-        if O.is_live w o t.now then begin
+        if O.is_live w o now then begin
           let old_addr = O.addr w o in
           alloc_into_immix t t.mature_pcm o;
           copy_traffic t ~old_addr o;
           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o
         end)
       victims;
-    ignore (Immix_space.sweep t.mature_pcm ~now:t.now ~par:(Gc_par.runner t.par) ())
+    ignore (Immix_space.sweep t.mature_pcm ~now ~par:(Gc_par.runner t.par) ())
   | _ -> ());
   log_pause t Phase.Major_gc work0;
   Mem_iface.flush t.mem;
@@ -751,8 +767,10 @@ let run_major t =
 
 (* Only externally forced majors are traced: heap- and write-triggered
    collections re-fire by themselves when a trace is replayed. *)
+let[@inline] emit t ev = match t.event_hook with Some f -> f ev | None -> ()
+
 let major_gc t =
-  t.event_hook Trace.Major_gc;
+  emit t Trace.Major_gc;
   run_major t
 
 let maybe_major t =
@@ -835,9 +853,11 @@ let alloc ?(domain = 0) t ~size ~heat ~death ~ref_fields =
   let o = O.make t.words ~size ~heat ~death ~ref_fields in
   if O.is_large t.words o then alloc_large t ~domain o else alloc_small t ~domain o;
   O.stream_init t.words (mut_mem t domain) o;
-  t.now <- t.now +. float_of_int size;
+  t.clock.(0) <- now t +. float_of_int size;
   maybe_major t;
-  t.event_hook (Trace.Alloc { id = O.id o; size; heat; death; ref_fields });
+  (match t.event_hook with
+  | Some f -> f (Trace.Alloc { id = O.id o; size; heat; death; ref_fields })
+  | None -> ());
   o
 
 let alloc_boot t ~size ~heat ~ref_fields =
@@ -849,8 +869,8 @@ let alloc_boot t ~size ~heat ~ref_fields =
   else alloc_into_immix t t.mature_pcm o;
   O.set_age t.words o 1;
   O.stream_init t.words t.mem o;
-  t.now <- t.now +. float_of_int size;
-  t.event_hook (Trace.Alloc_boot { id = O.id o; size; heat; ref_fields });
+  t.clock.(0) <- now t +. float_of_int size;
+  emit t (Trace.Alloc_boot { id = O.id o; size; heat; ref_fields });
   o
 
 let classify_app_write t o slot_addr =
@@ -873,11 +893,9 @@ let classify_app_write t o slot_addr =
 
 (* The KG-W monitoring slow path (Figure 4, lines 13-17): every store
    to a non-nursery object also sets the write word in its header.
-   [mem] is the issuing domain's port (the runtime's own port when the
-   GC itself monitors). *)
-let monitor_write ?mem t o =
+   [mem] is the issuing domain's port. *)
+let monitor_write t mem o =
   let w = t.words in
-  let mem = Option.value mem ~default:t.mem in
   if O.space w o <> sp_nursery then begin
     (* The write word records a count; "written" for placement means
        reaching the configured threshold (1 reproduces the paper's
@@ -904,7 +922,7 @@ let[@inline] pick_slot t o =
 
 let write_ref ?(domain = 0) t ~src ~tgt =
   let w = t.words in
-  t.event_hook (Trace.Write_ref { src = O.id src; tgt = O.id tgt });
+  (match t.event_hook with Some f -> f (Trace.Write_ref { src = O.id src; tgt = O.id tgt }) | None -> ());
   let st = t.stats in
   let mem = mut_mem t domain in
   st.Gc_stats.ref_writes <- st.Gc_stats.ref_writes + 1;
@@ -926,7 +944,7 @@ let write_ref ?(domain = 0) t ~src ~tgt =
   | _ -> ());
   (match t.cfg.Gc_config.collector with
   | Gc_config.Kg_writers _ ->
-    monitor_write ~mem t src;
+    monitor_write t mem src;
     slow := true
   | _ -> ());
   if not !slow then st.Gc_stats.barrier_fast_paths <- st.Gc_stats.barrier_fast_paths + 1;
@@ -934,19 +952,19 @@ let write_ref ?(domain = 0) t ~src ~tgt =
 
 let write_prim ?(domain = 0) t o =
   let w = t.words in
-  t.event_hook (Trace.Write_prim { obj = O.id o });
+  (match t.event_hook with Some f -> f (Trace.Write_prim { obj = O.id o }) | None -> ());
   let st = t.stats in
   let mem = mut_mem t domain in
   st.Gc_stats.prim_writes <- st.Gc_stats.prim_writes + 1;
   let slot_addr = O.field_addr w o (pick_slot t o) in
   classify_app_write t o slot_addr;
   (match t.cfg.Gc_config.collector with
-  | Gc_config.Kg_writers { pm = true; _ } -> monitor_write ~mem t o
+  | Gc_config.Kg_writers { pm = true; _ } -> monitor_write t mem o
   | _ -> st.Gc_stats.barrier_fast_paths <- st.Gc_stats.barrier_fast_paths + 1);
   Mem_iface.write mem ~addr:slot_addr ~size:Layout.word
 
 let read_obj ?(domain = 0) t o =
-  t.event_hook (Trace.Read { obj = O.id o });
+  (match t.event_hook with Some f -> f (Trace.Read { obj = O.id o }) | None -> ());
   t.stats.Gc_stats.reads <- t.stats.Gc_stats.reads + 1;
   Mem_iface.read (mut_mem t domain)
     ~addr:(O.field_addr t.words o (pick_slot t o))
@@ -954,7 +972,7 @@ let read_obj ?(domain = 0) t o =
 
 let read_burst ?(domain = 0) t o n =
   let w = t.words in
-  t.event_hook (Trace.Read_burst { obj = O.id o; words = n });
+  (match t.event_hook with Some f -> f (Trace.Read_burst { obj = O.id o; words = n }) | None -> ());
   t.stats.Gc_stats.reads <- t.stats.Gc_stats.reads + n;
   let addr = O.field_addr w o (pick_slot t o) in
   let size = min (n * Layout.word) (O.size w o - (addr - O.addr w o)) in
@@ -963,7 +981,8 @@ let read_burst ?(domain = 0) t o n =
 let flush_retirement_stats t =
   let w = t.words in
   let st = t.stats in
-  let each o = if O.is_live w o t.now then Gc_stats.retire st w o in
+  let now = now t in
+  let each o = if O.is_live w o now then Gc_stats.retire st w o in
   Vec.iter each (Immix_space.objects t.mature_pcm);
   (match t.mature_dram with Some s -> Vec.iter each (Immix_space.objects s) | None -> ());
   (match t.observer with Some obs -> Vec.iter each (Bump_space.objects obs) | None -> ());
@@ -990,7 +1009,7 @@ let check_invariants t =
   in
   let no_overlap name objs =
     let live =
-      Vec.fold (fun acc o -> if O.is_live w o t.now then o :: acc else acc) [] objs
+      Vec.fold (fun acc o -> if O.is_live w o (now t) then o :: acc else acc) [] objs
     in
     let sorted = List.sort (fun a b -> compare (O.addr w a) (O.addr w b)) live in
     let rec go = function

@@ -159,8 +159,9 @@ val add_gc_hook : t -> (Phase.t -> unit) -> unit
 val set_event_hook : t -> (Trace.event -> unit) -> unit
 (** Observe every mutator-level runtime interaction (allocations with
     their assigned ids, stores, reads, forced majors) — the recording
-    half of the deterministic trace/replay subsystem. The default hook
-    discards events. *)
+    half of the deterministic trace/replay subsystem. Until a hook is
+    installed no event is built, so the per-op paths allocate
+    nothing. *)
 
 val is_young : t -> Kg_heap.Object_model.t -> bool
 (** In the nursery or observer space. *)

@@ -148,10 +148,14 @@ let rec deliver sink b =
    single delivery — so the sink observes one global total order no
    matter which member's buffer happened to fill first. The counter is
    a plain mutable int: records are only issued from the deterministic
-   apply loop (one domain at a time), never concurrently. *)
+   apply loop (one domain at a time), never concurrently. The group
+   owns the buffer its flushes merge into, so a steady-state flush
+   allocates nothing; the buffer only grows. *)
 type group = {
   mutable next_seq : int;
-  mutable members : t list;
+  mutable member_batches : batch array;
+  mutable merged : batch;
+  merge_pos : int array;
 }
 
 and t = {
@@ -183,25 +187,34 @@ let sink t = t.sink
 let set_sink t s = t.sink <- s
 let capacity t = Array.length t.batch.addrs
 
-(* Merge member batches into one batch ordered by issue stamp. Each
-   member's buffer is already ascending in [seqs] (the group counter is
-   monotonic), so this is a k-way merge of sorted runs. Stamps are
-   unique, which makes the result a total order independent of the
-   arrival order of the input batches — the property the QCheck suite
-   pins down. *)
-let merge (batches : batch array) : batch =
+let empty_batch cap =
+  {
+    len = 0;
+    addrs = Array.make cap 0;
+    sizes = Array.make cap 0;
+    metas = Array.make cap 0;
+    seqs = Array.make cap 0;
+  }
+
+let total_len (batches : batch array) =
+  let total = ref 0 in
+  for j = 0 to Array.length batches - 1 do
+    total := !total + batches.(j).len
+  done;
+  !total
+
+(* Merge member batches into [out] (capacity at least their total
+   length) ordered by issue stamp, using [pos] (one slot per batch) as
+   scratch. Each member's buffer is already ascending in [seqs] (the
+   group counter is monotonic), so this is a k-way merge of sorted
+   runs. Stamps are unique, which makes the result a total order
+   independent of the arrival order of the input batches — the property
+   the QCheck suite pins down. *)
+let merge_into (batches : batch array) ~pos (out : batch) =
   let k = Array.length batches in
-  let total = Array.fold_left (fun a b -> a + b.len) 0 batches in
-  let out =
-    {
-      len = total;
-      addrs = Array.make (max total 1) 0;
-      sizes = Array.make (max total 1) 0;
-      metas = Array.make (max total 1) 0;
-      seqs = Array.make (max total 1) 0;
-    }
-  in
-  let pos = Array.make k 0 in
+  let total = total_len batches in
+  out.len <- total;
+  Array.fill pos 0 k 0;
   for i = 0 to total - 1 do
     (* Pick the member whose next un-consumed record has the smallest
        stamp. k is the domain count (tiny), so a linear scan beats a
@@ -222,17 +235,22 @@ let merge (batches : batch array) : batch =
     out.metas.(i) <- b.metas.(p);
     out.seqs.(i) <- b.seqs.(p);
     pos.(!best) <- p + 1
-  done;
+  done
+
+let merge (batches : batch array) : batch =
+  let out = empty_batch (max 1 (total_len batches)) in
+  merge_into batches ~pos:(Array.make (Array.length batches) 0) out;
   out
 
 let flush_group g sink =
-  let pending =
-    List.filter (fun m -> m.batch.len > 0) g.members |> Array.of_list
-  in
-  if Array.length pending > 0 then begin
-    let merged = merge (Array.map (fun m -> m.batch) pending) in
-    deliver sink merged;
-    Array.iter (fun m -> m.batch.len <- 0) pending
+  let batches = g.member_batches in
+  let total = total_len batches in
+  if total > 0 then begin
+    if total > Array.length g.merged.addrs then
+      g.merged <- empty_batch (max total (2 * Array.length g.merged.addrs));
+    merge_into batches ~pos:g.merge_pos g.merged;
+    deliver sink g.merged;
+    Array.iter (fun b -> b.len <- 0) batches
   end
 
 let flush t =
@@ -247,14 +265,16 @@ let flush t =
 
 let sequenced_group ?(capacity = default_capacity) ~sink n =
   if n <= 0 then invalid_arg "Port.sequenced_group: n must be positive";
-  let g = { next_seq = 0; members = [] } in
+  let g =
+    { next_seq = 0; member_batches = [||]; merged = empty_batch 0; merge_pos = Array.make n 0 }
+  in
   let members =
     Array.init n (fun _ ->
         let p = create ~capacity ~sink () in
         p.group <- Some g;
         p)
   in
-  g.members <- Array.to_list members;
+  g.member_batches <- Array.map (fun p -> p.batch) members;
   members
 
 let group_seq t =

@@ -11,9 +11,8 @@
 
     Determinism is inherited from the epoch protocol: generation is a
     pure function of per-domain private state plus an epoch-start
-    snapshot, streams merge under the schedule PRNG
-    ({!Kg_workload.Epoch.merge_schedule}), and the coordinator applies
-    ops sequentially — so a run is a pure function of
+    snapshot, streams merge under the schedule PRNG and the
+    coordinator applies ops sequentially ({!Kg_workload.Epoch}) — so a run is a pure function of
     [(seed, schedule_seed, domains, config)], with [~oracle] running
     the identical protocol inline for the differential harness.
 

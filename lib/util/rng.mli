@@ -54,7 +54,11 @@ val pareto : t -> alpha:float -> xmin:float -> float
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] draws a rank in [\[0, n)] with probability
     proportional to 1/(rank+1)^s, via rejection-inversion. Models the
-    skewed "top 2% of objects take 81% of writes" behaviour. *)
+    skewed "top 2% of objects take 81% of writes" behaviour. The
+    envelope bounds, which depend only on [(n, s)], are cached in the
+    generator (a few pairs, round-robin), so repeated draws at the
+    same parameters allocate nothing; draws are bit-identical to the
+    uncached formula. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

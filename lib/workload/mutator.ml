@@ -8,51 +8,36 @@ let cold_cap = 4096
 let large_min = 12 * 1024
 let large_alpha = 1.3
 
-(* Per-logical-thread mutator state: its own PRNG stream, window of
-   recently allocated objects, and outstanding read/write debts. Pools
-   of mature targets are shared (threads share data structures). *)
-type thread = {
+(* Mutation debts live in a two-slot float array (write, read): a
+   [mutable float] record field would box on every update. *)
+let write_debt = 0
+let read_debt = 1
+
+(* One mutator stream's private state: its PRNG, its window of recently
+   allocated objects and its outstanding read/write debts. The 1-domain
+   sequential path runs one stream; the epoch path runs one per mutator
+   domain, touched only by that domain during generation and by the
+   coordinator between epochs. The recent ring holds {!Epoch} targets
+   ([Epoch.none] when empty), so under the epoch protocol it also holds
+   pending markers until the epoch materialises them. Pools of mature
+   targets are shared (threads share data structures). *)
+type stream = {
   rng : Rng.t;
-  recent : O.t option array;
+  recent : int array;
   mutable recent_cursor : int;
-  mutable write_debt : float;
-  mutable read_debt : float;
+  debts : float array;
 }
 
-(* Multicore mutator state. With [threads > 1] the round-robin logical
-   threads are replaced by real mutator domains running an epoch
-   protocol (see [run_epochs] below): each domain *generates* a
-   symbolic op stream in parallel as a pure function of its private
-   state plus a read-only snapshot, and the coordinator *applies* the
-   streams sequentially in a schedule-seeded deterministic merge. A
-   generated op names objects that do not exist yet with [T_pending]
-   indices into the issuing domain's epoch allocations. *)
-type target = T_obj of O.t | T_pending of int
-
-type op =
-  | Op_alloc of { size : int; heat : O.heat; life : float; ref_fields : int }
-  | Op_write_ref of { src : target; tgt : target }
-  | Op_write_prim of target
-  | Op_read_burst of { tgt : target; words : int }
-
-(* A mutator domain's private state: PRNG stream, recent-allocation
-   ring (holding pending markers until the epoch materialises them)
-   and mutation debts. Touched only by its own domain during
-   generation and by the coordinator between epochs. *)
-type dstate = {
-  d_rng : Rng.t;
-  d_recent : target option array;
-  mutable d_recent_cursor : int;
-  mutable d_write_debt : float;
-  mutable d_read_debt : float;
-}
-
+(* With [threads > 1] the mutator runs the epoch protocol of {!Epoch}:
+   each domain *generates* a flat op stream in parallel as a pure
+   function of its stream plus a read-only snapshot, and the
+   coordinator *applies* the streams sequentially in a schedule-seeded
+   deterministic merge. *)
 type t = {
   desc : Descriptor.t;
   rt : Rt.t;
   words : O.store;  (* the runtime's flat-word heap tables *)
-  threads : thread array;  (* sequential path; empty when nthreads > 1 *)
-  mutable cur : int;  (* round-robin position *)
+  streams : stream array;  (* one per thread *)
   life : Lifetime.t;
   hot : O.t Vec.t;
   warm : O.t Vec.t;
@@ -65,7 +50,7 @@ type t = {
   nthreads : int;
   oracle : bool;  (* interleaved oracle: generate inline, no Domains *)
   sched_rng : Rng.t;  (* merge schedule; seeded independently *)
-  dstates : dstate array;  (* empty when nthreads = 1 *)
+  epoch : Epoch.t;  (* op buffers and schedule, reused across runs *)
   boot_allocs_by_thread : int array;
 }
 
@@ -92,36 +77,26 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
   let f = desc.Descriptor.large_frac in
   let p_large = if f <= 0.0 then 0.0 else f *. es /. (((1.0 -. f) *. large_mean) +. (f *. es)) in
   let root = Rng.of_seed seed in
+  let sched_rng = Rng.of_seed schedule_seed in
   let threads = max 1 threads in
   if threads > 1 && Rt.domains rt <> threads then
     invalid_arg
       (Printf.sprintf
          "Mutator.create: %d threads need a runtime with %d domains (has %d)"
          threads threads (Rt.domains rt));
-  let mk_thread _ =
+  let mk_stream _ =
     {
       rng = Rng.split root;
-      recent = Array.make recent_size None;
+      recent = Array.make recent_size Epoch.none;
       recent_cursor = 0;
-      write_debt = 0.0;
-      read_debt = 0.0;
-    }
-  in
-  let mk_dstate _ =
-    {
-      d_rng = Rng.split root;
-      d_recent = Array.make recent_size None;
-      d_recent_cursor = 0;
-      d_write_debt = 0.0;
-      d_read_debt = 0.0;
+      debts = [| 0.0; 0.0 |];
     }
   in
   {
     desc;
     rt;
     words = Rt.words rt;
-    threads = (if threads = 1 then [| mk_thread 0 |] else [||]);
-    cur = 0;
+    streams = Array.init threads mk_stream;
     life;
     hot = Vec.create ();
     warm = Vec.create ();
@@ -132,8 +107,8 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
     live_mb;
     nthreads = threads;
     oracle;
-    sched_rng = Rng.of_seed schedule_seed;
-    dstates = (if threads = 1 then [||] else Array.init threads mk_dstate);
+    sched_rng;
+    epoch = Epoch.create ~n:threads ~sched:sched_rng;
     boot_allocs_by_thread = Array.make threads 0;
   }
 
@@ -144,13 +119,9 @@ let draw_small_size_rng t rng =
   let words = 2 + Rng.geometric rng p in
   min Layout.max_small_object (max 16 (words * 8))
 
-let draw_small_size t th = draw_small_size_rng t th.rng
-
 let draw_large_size_rng rng =
   let s = Rng.pareto rng ~alpha:large_alpha ~xmin:(float_of_int large_min) in
   min (2 * Units.mib) (int_of_float s)
-
-let draw_large_size th = draw_large_size_rng th.rng
 
 let assign_heat_rng t rng cls =
   (* Hot objects must end up ~2% of *written* mature objects (Figure
@@ -179,150 +150,145 @@ let assign_heat_rng t rng cls =
     | Lifetime.Immortal -> if Rng.bernoulli rng 0.01 then O.Warm else O.Cold
     | Lifetime.Long -> O.Cold
 
-let assign_heat t th cls = assign_heat_rng t th.rng cls
-
-let register t th (o : O.t) =
-  th.recent.(th.recent_cursor) <- Some o;
-  th.recent_cursor <- (th.recent_cursor + 1) mod recent_size;
+(* Shared-pool registration. The cold-pool reservoir draws from [rng]:
+   the allocating stream's own PRNG on the sequential path and at boot
+   (startup runs before any worker exists), the schedule PRNG when the
+   epoch coordinator applies, so generation streams stay untouched. *)
+let add_to_pools t rng (o : O.t) =
   t.allocated <- t.allocated + 1;
   match O.heat t.words o with
   | O.Hot -> Vec.push t.hot o
   | O.Warm -> Vec.push t.warm o
   | O.Cold ->
     if Vec.length t.cold < cold_cap then Vec.push t.cold o
-    else if Rng.bernoulli th.rng (float_of_int cold_cap /. float_of_int t.allocated) then
-      Vec.set t.cold (Rng.int th.rng cold_cap) o
+    else if Rng.bernoulli rng (float_of_int cold_cap /. float_of_int t.allocated) then
+      Vec.set t.cold (Rng.int rng cold_cap) o
 
-let allocate_one t th =
-  let cls, life =
-    Lifetime.draw t.life th.rng ~nursery_remaining:(float_of_int (Rt.nursery_free t.rt))
-  in
-  let large = Rng.bernoulli th.rng t.p_large in
-  let size = if large then draw_large_size th else draw_small_size t th in
-  (* Large objects draw from the same lifetime mixture: "we find
-     empirically that large objects often follow the weak-generational
-     hypothesis, i.e., they die quickly" (4.2.4). *)
-  let heat = assign_heat t th cls in
-  let death = Rt.now t.rt +. life in
-  let ref_fields = max 1 (size / 32) in
-  let o = Rt.alloc t.rt ~size ~heat ~death ~ref_fields in
-  register t th o;
-  o
+let push_recent s x =
+  s.recent.(s.recent_cursor) <- x;
+  s.recent_cursor <- (s.recent_cursor + 1) mod recent_size
 
-(* Pick a live object from a pool, pruning dead entries on the way.
-   Returns None if the pool is effectively empty. *)
-let rec pick_live t th pool attempts =
-  if attempts = 0 || Vec.length pool = 0 then None
-  else begin
-    let i = Rng.int th.rng (Vec.length pool) in
+let register t s (o : O.t) =
+  push_recent s o;
+  add_to_pools t s.rng o
+
+(* ------------------------------------------------------------------ *)
+(* Target picks                                                        *)
+(*                                                                     *)
+(* Picks return {!Epoch} targets, [Epoch.none] when they find nothing, *)
+(* judging liveness at [now]. The sequential path applies its ops as   *)
+(* it goes and prunes dead pool entries as it meets them ([~prune]);   *)
+(* epoch generation reads a frozen snapshot and must leave the shared  *)
+(* pools alone (the barrier compacts them instead).                    *)
+
+let pick_live t rng now pool attempts ~prune =
+  let found = ref Epoch.none and a = ref attempts in
+  while !found = Epoch.none && !a > 0 && Vec.length pool > 0 do
+    let i = Rng.int rng (Vec.length pool) in
     let o = Vec.get pool i in
-    if O.is_live t.words o (Rt.now t.rt) then Some o
+    if O.is_live t.words o now then found := o
     else begin
-      ignore (Vec.swap_remove pool i);
-      pick_live t th pool (attempts - 1)
+      if prune then ignore (Vec.swap_remove pool i);
+      decr a
     end
-  end
+  done;
+  !found
 
-let pick_recent t th =
-  let rec go attempts =
-    if attempts = 0 then None
-    else begin
-      match th.recent.(Rng.int th.rng recent_size) with
-      | Some o when O.is_live t.words o (Rt.now t.rt) -> Some o
-      | _ -> go (attempts - 1)
-    end
-  in
-  go 4
+(* A recent-ring slot: a live object, or this epoch's pending one. *)
+let pick_recent t s now =
+  let found = ref Epoch.none and a = ref 4 in
+  while !found = Epoch.none && !a > 0 do
+    let x = s.recent.(Rng.int s.rng recent_size) in
+    if Epoch.is_pending x || (x <> Epoch.none && O.is_live t.words x now) then found := x
+    else decr a
+  done;
+  !found
 
 (* Writes within the hot class are themselves skewed (a few session
    tables/caches dominate), so rank hot picks with a Zipf draw over
    registration order rather than uniformly. *)
-let pick_hot t th attempts =
+let pick_hot t rng now attempts ~prune =
   let pool = t.hot in
-  let rec go attempts =
-    if attempts = 0 || Vec.length pool = 0 then None
+  let found = ref Epoch.none and a = ref attempts in
+  while !found = Epoch.none && !a > 0 && Vec.length pool > 0 do
+    let i = Rng.zipf rng ~n:(Vec.length pool) ~s:1.2 in
+    let o = Vec.get pool i in
+    if O.is_live t.words o now then found := o
     else begin
-      let i = Rng.zipf th.rng ~n:(Vec.length pool) ~s:1.2 in
-      let o = Vec.get pool i in
-      if O.is_live t.words o (Rt.now t.rt) then Some o
-      else begin
-        ignore (Vec.swap_remove pool i);
-        go (attempts - 1)
-      end
+      if prune then ignore (Vec.swap_remove pool i);
+      decr a
     end
-  in
-  go attempts
+  done;
+  !found
 
-let pick_mature t th =
+let pick_mature t s now ~prune =
   let d = t.desc in
-  let u = Rng.float th.rng 1.0 in
+  let u = Rng.float s.rng 1.0 in
   let primary =
-    if u < d.Descriptor.top2_frac then pick_hot t th 8
-    else if u < d.Descriptor.top10_frac then pick_live t th t.warm 8
-    else pick_live t th t.cold 8
+    if u < d.Descriptor.top2_frac then pick_hot t s.rng now 8 ~prune
+    else if u < d.Descriptor.top10_frac then pick_live t s.rng now t.warm 8 ~prune
+    else pick_live t s.rng now t.cold 8 ~prune
   in
-  match primary with
-  | Some _ as r -> r
-  | None -> (
-    match pick_live t th t.cold 8 with Some _ as r -> r | None -> pick_recent t th)
+  if primary <> Epoch.none then primary
+  else
+    let cold = pick_live t s.rng now t.cold 8 ~prune in
+    if cold <> Epoch.none then cold else pick_recent t s now
 
-let pick_write_target t th =
-  if Rng.bernoulli th.rng t.desc.Descriptor.nursery_write_frac then
-    match pick_recent t th with Some o -> Some o | None -> pick_mature t th
-  else match pick_mature t th with Some o -> Some o | None -> pick_recent t th
+let recent_or_mature t s now ~prune =
+  let x = pick_recent t s now in
+  if x <> Epoch.none then x else pick_mature t s now ~prune
 
-let do_write t th =
-  match pick_write_target t th with
-  | None -> ()
-  | Some src ->
-    if Rng.bernoulli th.rng t.desc.Descriptor.ref_write_frac then begin
-      let tgt =
-        if Rng.bernoulli th.rng 0.5 then
-          match pick_recent t th with Some o -> Some o | None -> pick_mature t th
-        else pick_mature t th
-      in
-      match tgt with
-      | Some tgt -> Rt.write_ref t.rt ~src ~tgt
-      | None -> Rt.write_prim t.rt src
-    end
-    else Rt.write_prim t.rt src
+(* One mutation write, applied through the runtime ([ops] = None, the
+   sequential path) or appended to an epoch op buffer. *)
+let do_write t s now (ops : Epoch.ops option) =
+  let prune = Option.is_none ops in
+  let src =
+    if Rng.bernoulli s.rng t.desc.Descriptor.nursery_write_frac then
+      recent_or_mature t s now ~prune
+    else
+      let x = pick_mature t s now ~prune in
+      if x <> Epoch.none then x else pick_recent t s now
+  in
+  if src <> Epoch.none then begin
+    let tgt =
+      if Rng.bernoulli s.rng t.desc.Descriptor.ref_write_frac then
+        if Rng.bernoulli s.rng 0.5 then recent_or_mature t s now ~prune
+        else pick_mature t s now ~prune
+      else Epoch.none
+    in
+    match ops with
+    | None -> if tgt <> Epoch.none then Rt.write_ref t.rt ~src ~tgt else Rt.write_prim t.rt src
+    | Some b -> if tgt <> Epoch.none then Epoch.write_ref b ~src ~tgt else Epoch.write_prim b src
+  end
 
 (* Reads come in streaming bursts over one object (field walks, array
    scans), so one target pick services several load events. *)
-let do_reads t th n =
-  let target = if Rng.bernoulli th.rng 0.6 then pick_recent t th else pick_mature t th in
-  match target with Some o -> Rt.read_burst t.rt o n | None -> ()
+let do_reads t s now (ops : Epoch.ops option) n =
+  let target =
+    if Rng.bernoulli s.rng 0.6 then pick_recent t s now
+    else pick_mature t s now ~prune:(Option.is_none ops)
+  in
+  if target <> Epoch.none then
+    match ops with
+    | None -> Rt.read_burst t.rt target n
+    | Some b -> Epoch.read_burst b target ~words:n
 
-let mutate_for t th (o : O.t) =
+(* Pay the write/read debt an allocation of [size] bytes incurs. *)
+let mutate t s now ops size =
   let d = t.desc in
-  th.write_debt <-
-    th.write_debt
-    +. (float_of_int (O.size t.words o) *. d.Descriptor.write_alloc_ratio /. 8.0);
-  while th.write_debt >= 1.0 do
-    do_write t th;
-    th.write_debt <- th.write_debt -. 1.0;
-    th.read_debt <- th.read_debt +. d.Descriptor.read_write_ratio;
-    if th.read_debt >= 1.0 then begin
-      let burst = min 8 (int_of_float th.read_debt) in
-      do_reads t th burst;
-      th.read_debt <- th.read_debt -. float_of_int burst
+  let debts = s.debts in
+  debts.(write_debt) <-
+    debts.(write_debt) +. (float_of_int size *. d.Descriptor.write_alloc_ratio /. 8.0);
+  while debts.(write_debt) >= 1.0 do
+    do_write t s now ops;
+    debts.(write_debt) <- debts.(write_debt) -. 1.0;
+    debts.(read_debt) <- debts.(read_debt) +. d.Descriptor.read_write_ratio;
+    if debts.(read_debt) >= 1.0 then begin
+      let burst = min 8 (int_of_float debts.(read_debt)) in
+      do_reads t s now ops burst;
+      debts.(read_debt) <- debts.(read_debt) -. float_of_int burst
     end
   done
-
-(* Register a boot/epoch object against a mutator domain's state. The
-   cold-reservoir draws use the domain's own stream here (startup runs
-   sequentially, before any worker exists). *)
-let register_d t ds (o : O.t) =
-  ds.d_recent.(ds.d_recent_cursor) <- Some (T_obj o);
-  ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
-  t.allocated <- t.allocated + 1;
-  match O.heat t.words o with
-  | O.Hot -> Vec.push t.hot o
-  | O.Warm -> Vec.push t.warm o
-  | O.Cold ->
-    if Vec.length t.cold < cold_cap then Vec.push t.cold o
-    else if Rng.bernoulli ds.d_rng (float_of_int cold_cap /. float_of_int t.allocated) then
-      Vec.set t.cold (Rng.int ds.d_rng cold_cap) o
 
 let allocate_startup t =
   (* Boot image: immortal objects placed directly in the mature space.
@@ -337,30 +303,50 @@ let allocate_startup t =
   while Rt.now t.rt -. start < target do
     let d = !k mod t.nthreads in
     incr k;
-    let rng = if t.nthreads = 1 then t.threads.(0).rng else t.dstates.(d).d_rng in
-    let large = Rng.bernoulli rng t.p_large in
-    let size = if large then draw_large_size_rng rng else draw_small_size_rng t rng in
-    let heat = assign_heat_rng t rng Lifetime.Immortal in
+    let s = t.streams.(d) in
+    let large = Rng.bernoulli s.rng t.p_large in
+    let size = if large then draw_large_size_rng s.rng else draw_small_size_rng t s.rng in
+    let heat = assign_heat_rng t s.rng Lifetime.Immortal in
     let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields:(max 1 (size / 32)) in
-    if t.nthreads = 1 then register t t.threads.(0) o else register_d t t.dstates.(d) o;
+    register t s o;
     t.boot_allocs_by_thread.(d) <- t.boot_allocs_by_thread.(d) + 1
   done
 
-(* Each engine step runs one thread for a small burst of allocations,
-   then rotates: the coarse interleaving real schedulers produce. *)
+(* ------------------------------------------------------------------ *)
+(* The 1-domain sequential path                                        *)
+
+let allocate_one t s =
+  let cls, life =
+    Lifetime.draw t.life s.rng ~nursery_remaining:(float_of_int (Rt.nursery_free t.rt))
+  in
+  let large = Rng.bernoulli s.rng t.p_large in
+  let size = if large then draw_large_size_rng s.rng else draw_small_size_rng t s.rng in
+  (* Large objects draw from the same lifetime mixture: "we find
+     empirically that large objects often follow the weak-generational
+     hypothesis, i.e., they die quickly" (4.2.4). *)
+  let heat = assign_heat_rng t s.rng cls in
+  let death = Rt.now t.rt +. life in
+  let ref_fields = max 1 (size / 32) in
+  let o = Rt.alloc t.rt ~size ~heat ~death ~ref_fields in
+  register t s o;
+  o
+
+(* Each engine step runs a small burst of allocations before checking
+   the tick: the coarse granularity real schedulers produce. *)
 let burst_allocs = 16
 
+(* Mutation neither allocates nor collects, so the clock read after
+   each allocation holds for its whole debt payment. *)
 let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
+  let s = t.streams.(0) in
   let start = Rt.now t.rt in
   let next_tick = ref (start +. float_of_int tick_bytes) in
   let target = start +. float_of_int alloc_bytes in
   while Rt.now t.rt < target do
-    let th = t.threads.(t.cur) in
-    t.cur <- (t.cur + 1) mod Array.length t.threads;
     let deadline = Float.min target (Rt.now t.rt +. float_of_int (burst_allocs * 256)) in
     while Rt.now t.rt < deadline do
-      let o = allocate_one t th in
-      mutate_for t th o
+      let o = allocate_one t s in
+      mutate t s (Rt.now t.rt) None (O.size t.words o)
     done;
     if Rt.now t.rt >= !next_tick then begin
       on_tick (Rt.now t.rt);
@@ -371,117 +357,8 @@ let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
 (* ------------------------------------------------------------------ *)
 (* Epoch-parallel execution (threads > 1)                              *)
 (*                                                                     *)
-(* Determinism argument, in three parts:                               *)
-(*                                                                     *)
-(* 1. Generation is a pure function of the domain's private state      *)
-(*    (PRNG, recent ring, debts) and an epoch-start snapshot           *)
-(*    (allocation clock, nursery headroom, frozen target pools). No    *)
-(*    shared structure is written during generation, so running the N  *)
-(*    generators on real Domains or inline in domain order produces    *)
-(*    identical op streams — that is exactly what the interleaved      *)
-(*    oracle checks.                                                   *)
-(* 2. The merge draws only from the schedule PRNG, interleaving        *)
-(*    domain streams in chunks while preserving each domain's own      *)
-(*    order — so a [T_pending i] reference always resolves to an       *)
-(*    already-applied allocation of the same domain.                   *)
-(* 3. Apply runs on the coordinator alone, one op at a time, through   *)
-(*    the domain-tagged runtime interface; collections fire inside it  *)
-(*    exactly where the op stream forces them, and the per-domain      *)
-(*    ports stamp every record with the shared issue counter so sink   *)
-(*    order is schedule order.                                         *)
-
-type snapshot = { s_now : float; s_nursery_free : int array }
-
-(* Pure pick helpers: same skew as the sequential path but against the
-   frozen snapshot — no pruning (pools are read-only during an epoch;
-   the coordinator compacts them at the barrier instead). *)
-
-let g_pick_live w rng now pool attempts =
-  let rec go a =
-    if a = 0 || Vec.length pool = 0 then None
-    else begin
-      let o = Vec.get pool (Rng.int rng (Vec.length pool)) in
-      if O.is_live w o now then Some (T_obj o) else go (a - 1)
-    end
-  in
-  go attempts
-
-let g_pick_recent w ds now =
-  let rec go a =
-    if a = 0 then None
-    else begin
-      match ds.d_recent.(Rng.int ds.d_rng recent_size) with
-      | Some (T_obj o) when O.is_live w o now -> Some (T_obj o)
-      | Some (T_pending i) -> Some (T_pending i)
-      | _ -> go (a - 1)
-    end
-  in
-  go 4
-
-let g_pick_hot t rng now attempts =
-  let pool = t.hot in
-  let rec go a =
-    if a = 0 || Vec.length pool = 0 then None
-    else begin
-      let o = Vec.get pool (Rng.zipf rng ~n:(Vec.length pool) ~s:1.2) in
-      if O.is_live t.words o now then Some (T_obj o) else go (a - 1)
-    end
-  in
-  go attempts
-
-let g_pick_mature t ds now =
-  let d = t.desc in
-  let w = t.words in
-  let rng = ds.d_rng in
-  let u = Rng.float rng 1.0 in
-  let primary =
-    if u < d.Descriptor.top2_frac then g_pick_hot t rng now 8
-    else if u < d.Descriptor.top10_frac then g_pick_live w rng now t.warm 8
-    else g_pick_live w rng now t.cold 8
-  in
-  match primary with
-  | Some _ as r -> r
-  | None -> (
-    match g_pick_live w rng now t.cold 8 with
-    | Some _ as r -> r
-    | None -> g_pick_recent w ds now)
-
-let g_pick_write_target t ds now =
-  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then
-    match g_pick_recent t.words ds now with
-    | Some o -> Some o
-    | None -> g_pick_mature t ds now
-  else
-    match g_pick_mature t ds now with
-    | Some o -> Some o
-    | None -> g_pick_recent t.words ds now
-
-let g_do_write t ds now ops =
-  match g_pick_write_target t ds now with
-  | None -> ()
-  | Some src ->
-    if Rng.bernoulli ds.d_rng t.desc.Descriptor.ref_write_frac then begin
-      let tgt =
-        if Rng.bernoulli ds.d_rng 0.5 then
-          match g_pick_recent t.words ds now with
-          | Some o -> Some o
-          | None -> g_pick_mature t ds now
-        else g_pick_mature t ds now
-      in
-      match tgt with
-      | Some tgt -> Vec.push ops (Op_write_ref { src; tgt })
-      | None -> Vec.push ops (Op_write_prim src)
-    end
-    else Vec.push ops (Op_write_prim src)
-
-let g_do_reads t ds now ops n =
-  let target =
-    if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t.words ds now
-    else g_pick_mature t ds now
-  in
-  match target with
-  | Some tgt -> Vec.push ops (Op_read_burst { tgt; words = n })
-  | None -> ()
+(* The protocol and its determinism argument live in {!Epoch}; this    *)
+(* module supplies generation and the apply-side registration.         *)
 
 (* Bytes of allocation each domain generates per epoch. Small enough
    that domains interleave at burst granularity, large enough that the
@@ -489,127 +366,51 @@ let g_do_reads t ds now ops n =
 let epoch_quantum = 4 * 1024
 
 (* Generate one epoch's op stream for domain [d]: the parallel half of
-   the protocol. Touches only [t.dstates.(d)] and read-only state. *)
-let generate t d snap =
-  let ds = t.dstates.(d) in
-  let now = snap.s_now in
-  let ops = Vec.create () in
-  let pending = ref 0 in
+   the protocol. Touches only [t.streams.(d)] and read-only state. *)
+let generate t d ops =
+  let s = t.streams.(d) in
+  let now = Epoch.now t.epoch in
+  let nursery_remaining = float_of_int (Epoch.nursery_free t.epoch d) in
+  let emit = Some ops in
   let bytes = ref 0 in
   while !bytes < epoch_quantum do
-    let cls, life =
-      Lifetime.draw t.life ds.d_rng
-        ~nursery_remaining:(float_of_int snap.s_nursery_free.(d))
-    in
-    let large = Rng.bernoulli ds.d_rng t.p_large in
-    let size = if large then draw_large_size_rng ds.d_rng else draw_small_size_rng t ds.d_rng in
-    let heat = assign_heat_rng t ds.d_rng cls in
-    let ref_fields = max 1 (size / 32) in
-    Vec.push ops (Op_alloc { size; heat; life; ref_fields });
-    ds.d_recent.(ds.d_recent_cursor) <- Some (T_pending !pending);
-    ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
-    incr pending;
+    let cls, life = Lifetime.draw t.life s.rng ~nursery_remaining in
+    let large = Rng.bernoulli s.rng t.p_large in
+    let size = if large then draw_large_size_rng s.rng else draw_small_size_rng t s.rng in
+    let heat = assign_heat_rng t s.rng cls in
+    push_recent s (Epoch.alloc ops ~size ~heat ~life ~ref_fields:(max 1 (size / 32)));
     bytes := !bytes + size;
-    ds.d_write_debt <-
-      ds.d_write_debt +. (float_of_int size *. t.desc.Descriptor.write_alloc_ratio /. 8.0);
-    while ds.d_write_debt >= 1.0 do
-      g_do_write t ds now ops;
-      ds.d_write_debt <- ds.d_write_debt -. 1.0;
-      ds.d_read_debt <- ds.d_read_debt +. t.desc.Descriptor.read_write_ratio;
-      if ds.d_read_debt >= 1.0 then begin
-        let burst = min 8 (int_of_float ds.d_read_debt) in
-        g_do_reads t ds now ops burst;
-        ds.d_read_debt <- ds.d_read_debt -. float_of_int burst
-      end
-    done
-  done;
-  ops
-
-(* The schedule merge itself is op-type agnostic and shared with the
-   Kg_serve request mutator — see Epoch.merge_schedule. *)
-let merge_schedule t (streams : op Vec.t array) = Epoch.merge_schedule t.sched_rng streams
-
-(* Apply one epoch's merged schedule through the domain-tagged runtime
-   interface. Shared-pool registration happens here, on the
-   coordinator; reservoir decisions draw from the schedule PRNG so
-   generation streams stay untouched. *)
-let apply_schedule t merged (epoch_allocs : O.t Vec.t array) =
-  let resolve d = function
-    | T_obj o -> o
-    | T_pending i -> Vec.get epoch_allocs.(d) i
-  in
-  Vec.iter
-    (fun (d, op) ->
-      match op with
-      | Op_alloc { size; heat; life; ref_fields } ->
-        let death = Rt.now t.rt +. life in
-        let o = Rt.alloc ~domain:d t.rt ~size ~heat ~death ~ref_fields in
-        Vec.push epoch_allocs.(d) o;
-        t.allocated <- t.allocated + 1;
-        (match heat with
-        | O.Hot -> Vec.push t.hot o
-        | O.Warm -> Vec.push t.warm o
-        | O.Cold ->
-          if Vec.length t.cold < cold_cap then Vec.push t.cold o
-          else if
-            Rng.bernoulli t.sched_rng (float_of_int cold_cap /. float_of_int t.allocated)
-          then Vec.set t.cold (Rng.int t.sched_rng cold_cap) o)
-      | Op_write_ref { src; tgt } ->
-        Rt.write_ref ~domain:d t.rt ~src:(resolve d src) ~tgt:(resolve d tgt)
-      | Op_write_prim tgt -> Rt.write_prim ~domain:d t.rt (resolve d tgt)
-      | Op_read_burst { tgt; words } -> Rt.read_burst ~domain:d t.rt (resolve d tgt) words)
-    merged
+    mutate t s now emit size
+  done
 
 (* Epoch barrier: resolve the recent rings' pending markers to the
    objects the epoch materialised, and compact the shared pools
    (the sequential path prunes lazily inside its picks; the parallel
    path must not mutate pools mid-epoch, so it prunes here). *)
-let epoch_barrier t (epoch_allocs : O.t Vec.t array) =
+let epoch_barrier t e =
+  Array.iteri (fun d s -> Epoch.resolve_slots e d s.recent) t.streams;
   let now = Rt.now t.rt in
-  Array.iteri
-    (fun d ds ->
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | Some (T_pending p) -> ds.d_recent.(i) <- Some (T_obj (Vec.get epoch_allocs.(d) p))
-          | _ -> ())
-        ds.d_recent)
-    t.dstates;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.hot;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.warm;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.cold
 
-(* The worker team (real Domains above 0, coordinator generating
-   domain 0's stream while waiting) is the shared Epoch.team. *)
 let run_epochs t ~alloc_bytes ~on_tick ~tick_bytes =
-  let n = t.nthreads in
   let start = Rt.now t.rt in
   let next_tick = ref (start +. float_of_int tick_bytes) in
-  let target = start +. float_of_int alloc_bytes in
-  let streams : op Vec.t array = Array.init n (fun _ -> Vec.create ()) in
-  let snap = ref { s_now = 0.0; s_nursery_free = [||] } in
-  let team = Epoch.spawn ~n ~oracle:t.oracle (fun d -> streams.(d) <- generate t d !snap) in
-  (try
-     while Rt.now t.rt < target do
-       snap :=
-         {
-           s_now = Rt.now t.rt;
-           s_nursery_free = Array.init n (fun d -> Rt.nursery_free ~domain:d t.rt);
-         };
-       Epoch.round team;
-       let merged = merge_schedule t streams in
-       let epoch_allocs = Array.init n (fun _ -> Vec.create ()) in
-       apply_schedule t merged epoch_allocs;
-       epoch_barrier t epoch_allocs;
-       if Rt.now t.rt >= !next_tick then begin
-         on_tick (Rt.now t.rt);
-         next_tick := !next_tick +. float_of_int tick_bytes
-       end
-     done
-   with e ->
-     Epoch.finish team;
-     raise e);
-  Epoch.finish team
+  let e = t.epoch in
+  Epoch.run e t.rt ~oracle:t.oracle ~until:(start +. float_of_int alloc_bytes)
+    {
+      Epoch.generate = generate t;
+      on_alloc = (fun _ o -> add_to_pools t t.sched_rng o);
+      on_mark = (fun _ _ _ -> ());
+      barrier =
+        (fun () ->
+          epoch_barrier t e;
+          if Rt.now t.rt >= !next_tick then begin
+            on_tick (Rt.now t.rt);
+            next_tick := !next_tick +. float_of_int tick_bytes
+          end);
+    }
 
 let run t ~alloc_bytes ?(on_tick = fun _ -> ()) ?(tick_bytes = Units.mib) () =
   if t.nthreads = 1 then run_sequential t ~alloc_bytes ~on_tick ~tick_bytes

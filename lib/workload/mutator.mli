@@ -28,7 +28,7 @@ val create :
     debts. With one thread the mutator runs the classic sequential
     loop. With more, [rt] must have been created with
     [~domains:threads], and {!run} executes the epoch protocol: each
-    domain {e generates} a symbolic op stream in parallel on a real
+    domain {e generates} a flat op stream in parallel on a real
     [Domain] as a pure function of its private state plus an
     epoch-start snapshot, and the coordinator {e applies} the streams
     sequentially in a deterministic merge drawn from [schedule_seed]

@@ -223,12 +223,69 @@ let test_port_sequenced_group_delivery () =
   Port.flush g.(0);
   check_int "group flush is idempotent" 5 c.Port.dram_write_bytes
 
+(* Drive [rounds] of appends through one sequenced group, flushing a
+   member after each, and check every delivery against a fresh
+   [Port.merge] of the batches the round built. Round totals grow and
+   shrink, so the group's reused merge buffer is both regrown and
+   reused with stale contents beyond the new length. *)
+let group_flushes_match_merge k rounds =
+  let delivered = ref [] in
+  let copy (b : Port.batch) =
+    let sub a = Array.sub a 0 b.Port.len in
+    { Port.len = b.Port.len; addrs = sub b.Port.addrs; sizes = sub b.Port.sizes;
+      metas = sub b.Port.metas; seqs = sub b.Port.seqs }
+  in
+  let sink =
+    Port.Cache_sim
+      { Port.run = (fun b -> delivered := copy b :: !delivered);
+        drv_stats = (fun () -> Port.zero_stats ~phases:8) }
+  in
+  let g = Port.sequenced_group ~capacity:256 ~sink k in
+  List.for_all
+    (fun (flusher, picks) ->
+      delivered := [];
+      let by_member = Array.make k [] in
+      List.iteri
+        (fun i pick ->
+          let d = pick mod k in
+          let seq = Option.get (Port.group_seq g.(d)) in
+          by_member.(d) <- (seq, 5000 + i, 1 + (i mod 7)) :: by_member.(d);
+          Port.write g.(d) ~addr:(5000 + i) ~size:(1 + (i mod 7)))
+        picks;
+      Port.flush g.(flusher mod k);
+      let batch_of rev =
+        let recs = Array.of_list (List.rev rev) in
+        let n = Array.length recs in
+        let b =
+          { Port.len = n; addrs = Array.make (max 1 n) 0; sizes = Array.make (max 1 n) 0;
+            metas = Array.make (max 1 n) 0; seqs = Array.make (max 1 n) 0 }
+        in
+        Array.iteri
+          (fun i (seq, addr, size) ->
+            b.Port.seqs.(i) <- seq;
+            b.Port.addrs.(i) <- addr;
+            b.Port.sizes.(i) <- size;
+            b.Port.metas.(i) <- Port.meta ~write:true ~tag:0)
+          recs;
+        b
+      in
+      match !delivered with
+      | [] -> picks = []
+      | [ got ] ->
+        let want = copy (Port.merge (Array.map batch_of by_member)) in
+        picks <> [] && got = want
+      | _ -> false)
+    rounds
+
 (* Satellite 1: merging K per-domain buffers by issue-order stamp is a
-   total order independent of the order the buffers are presented in. *)
+   total order independent of the order the buffers are presented in;
+   a group's flushes deliver exactly that merge. *)
 let port_group_merge_qcheck =
   QCheck.Test.make ~name:"group merge is a permutation-stable total order" ~count:200
-    QCheck.(pair (int_range 1 6) (small_list (int_range 0 96)))
-    (fun (k, picks) ->
+    QCheck.(
+      triple (int_range 1 6) (small_list (int_range 0 96))
+        (list_of_size Gen.(0 -- 8) (pair small_nat (list_of_size Gen.(0 -- 200) small_nat))))
+    (fun (k, picks, rounds) ->
       (* Assign each global issue index to a member, then build the
          per-member buffers exactly as interleaved appends would. *)
       let by_member = Array.make k [] in
@@ -266,7 +323,8 @@ let port_group_merge_qcheck =
       let m3 = order (Port.merge reversed) in
       List.length m1 = List.length picks
       && m1 = m2 && m1 = m3
-      && m1 = List.sort compare m1)
+      && m1 = List.sort compare m1
+      && group_flushes_match_merge k rounds)
 
 let wear_uniformity_qcheck =
   QCheck.Test.make ~name:"wear-leveling spreads any skewed stream" ~count:20

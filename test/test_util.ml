@@ -100,6 +100,67 @@ let test_rng_zipf_range_and_skew () =
   done;
   check_bool "rank 0 beats rank 50" true (counts.(0) > counts.(50))
 
+(* Rng.float reimplements Random.State.float without its boxed
+   result; it must stay bit-identical to it. *)
+let rng_float_matches_stdlib_qcheck =
+  QCheck.Test.make ~name:"float draws equal Random.State.float bit for bit" ~count:200
+    QCheck.(pair int (list_of_size Gen.(1 -- 50) (float_range 1e-3 1e6)))
+    (fun (seed, bounds) ->
+      let r = Rng.of_seed seed and st = Random.State.make [| seed |] in
+      List.for_all
+        (fun b -> Int64.equal (Int64.bits_of_float (Rng.float r b))
+                    (Int64.bits_of_float (Random.State.float st b)))
+        bounds)
+
+(* Rng.zipf as it was before its (n, s) envelope bounds were cached:
+   recomputed, with closures, on every call, over the stdlib generator
+   [Rng.of_seed] wraps. *)
+let zipf_uncached st ~n ~s =
+  if n = 1 then 0
+  else if s = 0.0 then Random.State.int st n
+  else begin
+    let nf = float_of_int n in
+    let h x = if s = 1.0 then log x else (x ** (1.0 -. s)) /. (1.0 -. s) in
+    let h_inv y = if s = 1.0 then exp y else ((1.0 -. s) *. y) ** (1.0 /. (1.0 -. s)) in
+    let h_x1 = h 1.5 -. 1.0 in
+    let h_n = h (nf +. 0.5) in
+    let rec draw () =
+      let u = h_x1 +. (Random.State.float st 1.0 *. (h_n -. h_x1)) in
+      let x = h_inv u in
+      let k = Float.max 1.0 (Float.round x) in
+      if k -. x <= 0.5 || u >= h (k +. 0.5) -. (k ** -.s) then int_of_float k - 1 else draw ()
+    in
+    draw ()
+  end
+
+(* Draw a sequence of (n, s) pairs through the cached sampler and the
+   uncached formula from one seed. More distinct pairs than the cache
+   holds, interleaved, exercise hits, misses and eviction. *)
+let zipf_agrees seed pairs =
+  let r = Rng.of_seed seed and st = Random.State.make [| seed |] in
+  List.for_all (fun (n, s) -> Rng.zipf r ~n ~s = zipf_uncached st ~n ~s) pairs
+
+let zipf_pairs =
+  QCheck.(
+    list_of_size
+      Gen.(1 -- 300)
+      (pair (oneofl [ 1; 2; 7; 100; 256; 512; 2048 ]) (oneofl [ 0.0; 0.5; 1.0; 1.1; 1.2; 2.0 ])))
+
+let zipf_matches_uncached_qcheck =
+  QCheck.Test.make ~name:"cached zipf draws equal the uncached formula" ~count:100
+    QCheck.(pair int zipf_pairs)
+    (fun (seed, pairs) -> zipf_agrees seed pairs)
+
+(* Generation runs zipf draws on several worker domains at once, each
+   on its own generator. *)
+let zipf_two_domains_qcheck =
+  QCheck.Test.make ~name:"zipf draws agree on two domains at once" ~count:20
+    QCheck.(triple int int zipf_pairs)
+    (fun (seed_a, seed_b, pairs) ->
+      let other = Domain.spawn (fun () -> zipf_agrees seed_b pairs) in
+      let here = zipf_agrees seed_a (List.rev pairs) in
+      Domain.join other && here)
+
 let test_rng_shuffle_permutation () =
   let r = Rng.of_seed 18 in
   let a = Array.init 50 Fun.id in
@@ -422,6 +483,9 @@ let () =
           Alcotest.test_case "pareto min" `Quick test_rng_pareto_min;
           Alcotest.test_case "zipf range and skew" `Quick test_rng_zipf_range_and_skew;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          q rng_float_matches_stdlib_qcheck;
+          q zipf_matches_uncached_qcheck;
+          q zipf_two_domains_qcheck;
         ] );
       ( "stats",
         [

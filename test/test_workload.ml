@@ -352,6 +352,79 @@ let mutator_any_benchmark_qcheck =
       Mutator.run m ~alloc_bytes:(6 * mib) ();
       Rt.heap_used rt > 0 && Kg_gc.Gc_stats.nursery_survival (Rt.stats rt) <= 1.0)
 
+(* ------------------------------------------------------------------ *)
+(* Epoch driver                                                        *)
+
+(* The per-op merge the run schedule replaced: one (domain, op index)
+   entry per op, same schedule-PRNG draws. *)
+let per_op_merge rng counts =
+  let n = Array.length counts in
+  let pos = Array.make n 0 in
+  let remaining = ref (Array.fold_left ( + ) 0 counts) in
+  let out = ref [] in
+  while !remaining > 0 do
+    let alive = List.filter (fun d -> pos.(d) < counts.(d)) (List.init n Fun.id) in
+    let d = List.nth alive (Kg_util.Rng.int rng (List.length alive)) in
+    let take = min (1 + Kg_util.Rng.int rng 8) (counts.(d) - pos.(d)) in
+    for _ = 1 to take do
+      out := (d, pos.(d)) :: !out;
+      pos.(d) <- pos.(d) + 1
+    done;
+    remaining := !remaining - take
+  done;
+  List.rev !out
+
+(* Expanding the (domain, take) runs gives the per-op merge's sequence,
+   and both leave the schedule PRNG in the same state (apply-side draws
+   on it follow the merge). *)
+let epoch_schedule_qcheck =
+  QCheck.Test.make ~name:"run schedule expands to the per-op merge" ~count:300
+    QCheck.(pair small_int (list_of_size Gen.(1 -- 5) (int_range 0 60)))
+    (fun (seed, counts) ->
+      let counts = Array.of_list counts in
+      let r1 = Kg_util.Rng.of_seed seed and r2 = Kg_util.Rng.of_seed seed in
+      let runs = Epoch.schedule r1 counts in
+      let pos = Array.make (Array.length counts) 0 in
+      let expanded =
+        List.concat_map
+          (fun (d, take) ->
+            List.init take (fun _ ->
+                let i = pos.(d) in
+                pos.(d) <- i + 1;
+                (d, i)))
+          runs
+      in
+      let rec coalesced = function
+        | (a, _) :: ((b, _) :: _ as rest) -> a <> b && coalesced rest
+        | _ -> true
+      in
+      expanded = per_op_merge r2 counts
+      && coalesced runs
+      && Kg_util.Rng.int r1 1_000_000 = Kg_util.Rng.int r2 1_000_000)
+
+(* A generator raising on a worker domain must surface on the
+   coordinator once the round completes, not leave it waiting for a
+   worker that never reports; the team must still join. Likewise for a
+   raise on the coordinator's own domain. *)
+let test_epoch_team_raises () =
+  List.iter
+    (fun bad ->
+      let rounds = Array.make 3 0 in
+      let team =
+        Epoch.spawn ~n:3 ~oracle:false (fun d ->
+            rounds.(d) <- rounds.(d) + 1;
+            if d = bad then failwith (Printf.sprintf "generator %d" d))
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "raise on domain %d reaches the coordinator" bad)
+        (Failure (Printf.sprintf "generator %d" bad))
+        (fun () -> Epoch.round team);
+      Epoch.finish team;
+      Alcotest.(check (array int))
+        (Printf.sprintf "every domain ran once (bad %d)" bad)
+        [| 1; 1; 1 |] rounds)
+    [ 1; 2; 0 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_workload"
@@ -393,5 +466,10 @@ let () =
           Alcotest.test_case "determinism" `Quick test_mutator_determinism;
           Alcotest.test_case "scaled alloc bounds" `Quick test_scaled_alloc_bounds;
           q mutator_any_benchmark_qcheck;
+        ] );
+      ( "epoch",
+        [
+          q epoch_schedule_qcheck;
+          Alcotest.test_case "raising generator" `Quick test_epoch_team_raises;
         ] );
     ]
