@@ -5,6 +5,7 @@ open Cmdliner
 module R = Kg_sim.Run
 module D = Kg_workload.Descriptor
 module GS = Kg_gc.Gc_stats
+module A = Kg_cli.Cli_args
 
 let spec_of_string = function
   | "dram-only" -> Ok R.dram_only
@@ -109,25 +110,9 @@ let seed_arg =
   let doc = "PRNG seed (runs are deterministic given a seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Simulated mutator domains; above 1 the run executes the deterministic \
-     epoch-parallel protocol on real domains."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
 let schedule_seed_arg =
   let doc = "Seed for the deterministic merge schedule of multi-domain runs." in
   Arg.(value & opt int 0 & info [ "schedule-seed" ] ~doc)
-
-let parallel_gc_arg =
-  let doc =
-    "Run collection phases on a worker-domain team (plan-in-parallel, \
-     apply-in-merged-order). Deterministic: every counter and table is \
-     bit-identical to the inline collector at the same --domains; only the \
-     modeled GC time shrinks."
-  in
-  Arg.(value & flag & info [ "parallel-gc" ] ~doc)
 
 let threshold_arg =
   let doc = "KG-W extension: writes needed before an object counts as written (default 1)." in
@@ -144,7 +129,7 @@ let observer_arg =
 let run_t =
   Term.(
     const run_cmd $ bench_arg $ collector_arg $ simulate_arg $ scale_arg $ heap_scale_arg
-    $ cap_arg $ seed_arg $ domains_arg $ schedule_seed_arg $ parallel_gc_arg $ threshold_arg
+    $ cap_arg $ seed_arg $ A.domains_arg $ schedule_seed_arg $ A.parallel_gc_arg $ threshold_arg
     $ trigger_arg $ observer_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -176,37 +161,18 @@ let check_cmd benches scale heap_scale cap_mb seed domains parallel_gc jobs =
           name,
           Kg_engine.Pool.submit pool (fun ~seed:_ ->
               R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~parallel_gc
-                ~check:true ~mode:R.Count spec d),
-          (* Above one domain, also run the inline oracle so the audit
-             covers the team protocol's determinism: statistics and the
-             per-collection pause profile must match exactly. *)
-          if domains <= 1 then None
-          else
-            Some
-              (Kg_engine.Pool.submit pool (fun ~seed:_ ->
-                   R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~parallel_gc
-                     ~oracle:true ~check:true ~mode:R.Count spec d)) ))
+                ~check:true ~mode:R.Count spec d) ))
       matrix
   in
   List.iter
-    (fun (bench, name, fut, oracle_fut) ->
+    (fun (bench, name, fut) ->
       let r = Kg_engine.Pool.await fut in
       let st = r.R.stats in
       let gcs = st.GS.nursery_gcs + st.GS.observer_gcs + st.GS.major_gcs in
-      let oracle_diffs =
-        match oracle_fut with
-        | None -> []
-        | Some f ->
-          let ro = Kg_engine.Pool.await f in
-          GS.diff r.R.stats ro.R.stats
-          @ GS.diff_pauses r.R.stats ro.R.stats
-              ~pause_ms:(R.pause_model ~domains ~parallel_gc ())
-      in
-      match r.R.check_violations @ oracle_diffs with
+      match r.R.check_violations with
       | [] ->
-        Printf.printf "ok   %-10s %-9s %4d collections audited, 0 violations%s\n" bench name
+        Printf.printf "ok   %-10s %-9s %4d collections audited, 0 violations\n" bench name
           gcs
-          (if oracle_fut = None then "" else ", pause profile matches oracle")
       | vs ->
         incr failures;
         Printf.printf "FAIL %-10s %-9s %d violation(s) in %d collections:\n" bench name
@@ -227,7 +193,7 @@ let jobs_arg =
 let check_t =
   Term.(
     const check_cmd $ benches_arg $ scale_arg $ heap_scale_arg $ cap_arg $ seed_arg
-    $ domains_arg $ parallel_gc_arg $ jobs_arg)
+    $ A.domains_arg $ A.parallel_gc_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: record a run, replay its trace, compare bit-for-bit         *)

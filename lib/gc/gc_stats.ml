@@ -183,11 +183,6 @@ let log_collection t phase ~copied ~scanned = Vec.push t.collection_log (phase, 
    terms (the pause-time model lives above this library), so callers
    supply the model — Run passes Time_model.pause_ms. *)
 
-let pause_log t ~pause_ms =
-  Array.init (Vec.length t.collection_log) (fun i ->
-      let phase, copied, scanned = Vec.get t.collection_log i in
-      (phase, pause_ms phase ~copied ~scanned))
-
 let pause_histogram t ~pause_ms =
   let h = Hdr_histogram.create () in
   for i = 0 to Vec.length t.collection_log - 1 do
@@ -195,24 +190,6 @@ let pause_histogram t ~pause_ms =
     Hdr_histogram.add h (pause_ms phase ~copied ~scanned)
   done;
   h
-
-let diff_pauses a b ~pause_ms =
-  let out = ref [] in
-  let pa = pause_log a ~pause_ms and pb = pause_log b ~pause_ms in
-  if Array.length pa <> Array.length pb then
-    out :=
-      Printf.sprintf "pause count: %d <> %d" (Array.length pa) (Array.length pb) :: !out
-  else
-    Array.iteri
-      (fun i (ka, da) ->
-        let kb, db = pb.(i) in
-        if ka <> kb || da <> db then
-          out :=
-            Printf.sprintf "pause[%d]: (%s, %.6f ms) <> (%s, %.6f ms)" i (Phase.to_string ka)
-              da (Phase.to_string kb) db
-            :: !out)
-      pa;
-  List.rev !out
 
 let retire t w (o : Kg_heap.Object_model.t) =
   let module O = Kg_heap.Object_model in

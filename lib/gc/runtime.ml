@@ -31,13 +31,8 @@ type t = {
      by stamp, so the sink order is independent of which buffer fills
      first. *)
   mut_mems : Mem_iface.t array;
+  (* Also the width of every collection phase's plan/apply partition. *)
   domains : int;
-  (* The collector's worker team. Every phase runs the same
-     "plan in parallel, apply in merged order" protocol at width
-     [domains]; the team only decides whether the plan slices execute
-     on real domains ([parallel_gc:true]) or inline on the coordinator
-     (the oracle). *)
-  par : Gc_par.t;
   map : Kg_mem.Address_map.t;
   stats : Gc_stats.t;
   rng : Rng.t;
@@ -71,8 +66,7 @@ let config t = t.cfg
 let stats t = t.stats
 let[@inline] now t = Array.unsafe_get t.clock 0
 let domains t = t.domains
-let parallel_gc t = Gc_par.parallel t.par
-let shutdown t = Gc_par.shutdown t.par
+let shutdown (_ : t) = ()
 let words t = t.words
 let is_young t o = O.space t.words o <= sp_observer
 let in_nursery t o = O.space t.words o = sp_nursery
@@ -125,7 +119,7 @@ let obs_remset t = t.obs_remset
 
 let line_mark_chunk_bytes = Immix_space.meta_bytes_per_block * (Layout.mature_region / Layout.block)
 
-let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () =
+let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
   if domains <= 0 then invalid_arg "Runtime.create: domains must be positive";
   let open Kg_mem in
   let words = Heap_words.create () in
@@ -229,7 +223,6 @@ let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () 
     mem;
     mut_mems;
     domains;
-    par = Gc_par.create ~domains ~parallel:parallel_gc;
     map;
     stats = Gc_stats.create ();
     rng = Rng.of_seed seed;
@@ -360,46 +353,31 @@ let process_remset t rs =
   Remset.clear rs
 
 (* ------------------------------------------------------------------ *)
-(* Plan/apply parallel-phase machinery                                 *)
+(* Plan/apply phase machinery                                          *)
 
-(* Every collection phase follows one protocol: a *plan* step
-   classifies a contiguous slice of the work per team member, writing
-   only slice-private buffers (liveness and header predicates are
-   stable during the stop-the-world section — the clock does not advance
-   and no mutator runs), and a sequential *apply* step replays the
-   buffers in slice order. [Parfor.slice] ranges concatenate back to
-   the original index order, so the apply visits exactly the objects
-   the sequential loop visited, in the same order — stats, retirement
-   streams, RNG draws, allocation addresses and port records (batch
-   boundaries included) are bit-identical at any width, parallel or
-   inline. That is why [parallel_gc:false] at the same domain count
-   *is* the oracle: the protocol never forks, only the execution of
-   the plan slices does. *)
-let plan_filter par vec pred =
-  let width = Parfor.width par in
+(* Every collection phase follows one protocol at width [domains]: a
+   *plan* step classifies each contiguous slice of the work into a
+   slice-private buffer (liveness and header predicates are stable
+   during the stop-the-world section — the clock does not advance and
+   no mutator runs), and an *apply* step replays the buffers in slice
+   order. [Parfor.slice] ranges concatenate back to the original index
+   order, so the apply visits exactly the objects a single-slice loop
+   visits, in the same order — stats, retirement streams, RNG draws,
+   allocation addresses and port records (batch boundaries included)
+   are bit-identical at any width. The width is what the modeled
+   parallel collector divides the work by; every slice runs on the
+   calling domain. *)
+let plan_filter width vec pred =
   let n = Vec.length vec in
   let picked = Array.init width (fun _ -> Vec.create ()) in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        let o = Vec.get vec k in
-        if pred o then Vec.push picked.(i) o
-      done);
+  for i = 0 to width - 1 do
+    let lo, hi = Parfor.slice ~len:n ~width i in
+    for k = lo to hi do
+      let o = Vec.get vec k in
+      if pred o then Vec.push picked.(i) o
+    done
+  done;
   picked
-
-(* In-place header updates (fresh-epoch reset, unmark) run fully
-   parallel: a space's population vector holds each object at most
-   once between sweeps (movement pushes into the *destination* vector
-   and leaves only a stale source entry, which the following sweep
-   drops), so the slices write disjoint header words. *)
-let parallel_each par vec f =
-  let width = Parfor.width par in
-  let n = Vec.length vec in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        f (Vec.get vec k)
-      done)
 
 (* ------------------------------------------------------------------ *)
 (* Collections                                                         *)
@@ -446,21 +424,20 @@ let collect_nursery t =
   let st = t.stats in
   st.Gc_stats.nursery_gcs <- st.Gc_stats.nursery_gcs + 1;
   (* A minor collection is stop-the-world across every domain. Plan:
-     team member [d] scavenges its own domain's private nursery,
-     classifying the survivors. Apply: promote in domain order — the
-     sequential evacuation order — before the shared remset is
-     consumed. *)
+     slice [d] scavenges domain [d]'s private nursery, classifying the
+     survivors. Apply: promote in domain order — the sequential
+     evacuation order — before the shared remset is consumed. *)
   let survived = ref 0 in
   let used =
     max 1 (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries)
   in
-  let par = Gc_par.runner t.par in
   let now = now t in
   let live = Array.init t.domains (fun _ -> Vec.create ()) in
-  Parfor.run par (fun d ->
-      Vec.iter
-        (fun o -> if O.is_live w o now then Vec.push live.(d) o)
-        (Bump_space.objects t.nurseries.(d)));
+  for d = 0 to t.domains - 1 do
+    Vec.iter
+      (fun o -> if O.is_live w o now then Vec.push live.(d) o)
+      (Bump_space.objects t.nurseries.(d))
+  done;
   Array.iteri
     (fun d nursery ->
       Vec.iter
@@ -504,19 +481,19 @@ let evacuate_observer t obs =
      traffic), evacuations touch allocation and the port — and within
      each kind the original order is preserved, so the retired-writes
      log and the access stream are both bit-identical. *)
-  let par = Gc_par.runner t.par in
-  let width = Parfor.width par in
+  let width = t.domains in
   let objs = Bump_space.objects obs in
   let n = Vec.length objs in
   let now = now t in
   let dead = Array.init width (fun _ -> Vec.create ()) in
   let live = Array.init width (fun _ -> Vec.create ()) in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        let o = Vec.get objs k in
-        if O.is_live w o now then Vec.push live.(i) o else Vec.push dead.(i) o
-      done);
+  for i = 0 to width - 1 do
+    let lo, hi = Parfor.slice ~len:n ~width i in
+    for k = lo to hi do
+      let o = Vec.get objs k in
+      if O.is_live w o now then Vec.push live.(i) o else Vec.push dead.(i) o
+    done
+  done;
   for i = 0 to width - 1 do
     Vec.iter (fun o -> Gc_stats.retire st w o) dead.(i);
     Vec.iter
@@ -601,7 +578,7 @@ let sweep_immix t space meta_chunks =
   ignore
     (Immix_space.sweep space ~now:(now t) ~write_meta
        ~on_dead:(fun o -> Gc_stats.retire t.stats t.words o)
-       ~par:(Gc_par.runner t.par) ())
+       ~width:t.domains ())
 
 (* Treadmill collection: snapping a live node rewrites two link words
    in its header, in whatever memory holds the object. *)
@@ -637,12 +614,12 @@ let major_gc_inner t =
     | Gc_config.Kg_writers { mdo; _ } -> mdo
     | _ -> false
   in
-  let par = Gc_par.runner t.par in
-  (* Mark phase over the mature Immix spaces: plan the live slices in
-     parallel, apply [mark_object] (which issues the trace-read and
+  let width = t.domains in
+  (* Mark phase over the mature Immix spaces: plan the live slices,
+     apply [mark_object] (which issues the trace-read and
      mark-write port traffic) in slice order. *)
   let mark_space space ~in_pcm =
-    let live = plan_filter par (Immix_space.objects space) (fun o -> O.is_live w o now) in
+    let live = plan_filter width (Immix_space.objects space) (fun o -> O.is_live w o now) in
     Array.iter (Vec.iter (fun o -> mark_object t ~mdo ~in_pcm o)) live
   in
   mark_space t.mature_pcm ~in_pcm:true;
@@ -660,7 +637,7 @@ let major_gc_inner t =
   (match t.mature_dram with
   | Some mature_dram ->
     let to_pcm =
-      plan_filter par (Immix_space.objects mature_dram) (fun o ->
+      plan_filter width (Immix_space.objects mature_dram) (fun o ->
           O.is_live w o now && not (O.written w o))
     in
     Array.iter
@@ -673,7 +650,7 @@ let major_gc_inner t =
            referrer_update_writes t o))
       to_pcm;
     let to_dram =
-      plan_filter par (Immix_space.objects t.mature_pcm) (fun o ->
+      plan_filter width (Immix_space.objects t.mature_pcm) (fun o ->
           O.is_live w o now && O.written w o && O.space w o = sp_mature_pcm)
     in
     Array.iter
@@ -690,8 +667,8 @@ let major_gc_inner t =
       O.set_written w o false;
       O.set_epoch_writes w o 0
     in
-    parallel_each par (Immix_space.objects mature_dram) fresh;
-    parallel_each par (Immix_space.objects t.mature_pcm) fresh
+    Vec.iter fresh (Immix_space.objects mature_dram);
+    Vec.iter fresh (Immix_space.objects t.mature_pcm)
   | None -> ());
   (* Sweep phase. *)
   sweep_immix t t.mature_pcm t.mature_pcm_meta;
@@ -710,9 +687,15 @@ let major_gc_inner t =
       evicted;
     ignore (collect_los t los_dram ~keep:(fun _ -> true))
   | None -> ignore (collect_los t t.los_pcm ~keep:(fun _ -> true)));
-  parallel_each par (Immix_space.objects t.mature_pcm) (fun o -> O.set_marked w o false);
+  (* The in-place header passes (fresh-epoch reset above, unmark here)
+     need no plan/apply split: a space's population vector holds each
+     object at most once between sweeps (movement pushes into the
+     *destination* vector and leaves only a stale source entry, which
+     the following sweep drops), so per-slice header writes would be
+     disjoint. *)
+  Vec.iter (fun o -> O.set_marked w o false) (Immix_space.objects t.mature_pcm);
   (match t.mature_dram with
-  | Some s -> parallel_each par (Immix_space.objects s) (fun o -> O.set_marked w o false)
+  | Some s -> Vec.iter (fun o -> O.set_marked w o false) (Immix_space.objects s)
   | None -> ());
   (* Optional Immix defragmentation (§6.3): evacuate the sparsest
      blocks when fragmentation strands too much partial-block memory.
@@ -736,7 +719,7 @@ let major_gc_inner t =
           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o
         end)
       victims;
-    ignore (Immix_space.sweep t.mature_pcm ~now ~par:(Gc_par.runner t.par) ())
+    ignore (Immix_space.sweep t.mature_pcm ~now ~width ())
   | _ -> ());
   log_pause t Phase.Major_gc work0;
   Mem_iface.flush t.mem;

@@ -55,25 +55,21 @@ val create :
     (see {!Remset}). With one domain the runtime is byte-identical to
     the pre-domain implementation.
 
-    [parallel_gc] (default [false]) executes every collection phase's
-    plan steps on a team of [domains] worker domains instead of inline
-    on the collecting domain. The phases follow a "plan in parallel,
-    apply in merged order" protocol whose partition width is always
-    [domains], so the two settings are observationally identical —
-    stats, traces, fixtures and port streams are bit-identical; only
-    the modeled (and host) collection time changes. [parallel_gc:false]
-    is therefore the oracle for the parallel collector. Runtimes that
-    went parallel hold worker domains until {!shutdown}. *)
+    [domains] is also the width of every collection phase: a phase
+    plans each of [domains] contiguous slices of its work into a
+    slice-private buffer and applies the buffers in slice order (see
+    {!Kg_util.Parfor}). Every slice runs on the calling domain; the
+    width fixes the merge order, and the modeled parallel collector
+    divides collection work by it.
+
+    [parallel_gc] is accepted and ignored: whether the simulated
+    machine collects in parallel is a model parameter of the run
+    ([Kg_sim.Run.run ~parallel_gc]), not of the runtime. It is kept for
+    the host-time benchmark, which calls it. *)
 
 val shutdown : t -> unit
-(** Join any collector worker domains spawned by a [parallel_gc]
-    runtime. Idempotent, and a no-op when no worker was ever spawned;
-    required before the process can create unboundedly many runtimes
-    (OCaml caps the number of domains ever spawned). *)
-
-val parallel_gc : t -> bool
-(** Whether collections run their plan steps on a worker team
-    ([parallel_gc] was set and [domains > 1]). *)
+(** A no-op: the runtime holds no domains. Kept for the host-time
+    benchmark, which calls it. *)
 
 val config : t -> Gc_config.t
 val stats : t -> Gc_stats.t

@@ -353,56 +353,53 @@ let audit t =
   end;
   List.rev !errs
 
-(* Sweep, in the collector's "plan in parallel, apply in merged order"
-   protocol. Phase A (parallel over population ranges) classifies each
-   contiguous range into kept / dead lists and computes every kept
+(* Sweep, in the collector's "plan, then apply in merged order"
+   protocol at [width] slices. Phase A classifies each contiguous
+   population range into kept / dead lists and computes every kept
    object's line span, bucketed by the owning block's region shard.
-   Phase B (sequential) replays the per-range buffers in range order —
-   exactly the order the pre-protocol sequential sweep visited the
-   population, so the rebuilt vector, the [on_dead] retirement stream
-   and the byte accounting are bit-identical at any width. Phase C
-   (parallel over region shards) clears and re-applies the line maps:
-   shard [j] owns blocks with [region mod width = j], so writes are
-   disjoint, and the final marks are a set union — independent of the
-   order spans land. Phase D (sequential) walks blocks in index order
-   to rebuild the allocation queue and emit [write_meta] records,
-   unchanged from the sequential sweep. [Parfor.inline_ 1] therefore
-   *is* the old sweep; any width with any runner produces the same
-   observable state. *)
+   Phase B replays the per-range buffers in range order — exactly the
+   order a single-range sweep visits the population, so the rebuilt
+   vector, the [on_dead] retirement stream and the byte accounting are
+   bit-identical at any width. Phase C clears and re-applies the line
+   maps per region shard: shard [j] owns blocks with
+   [region mod width = j], and the final marks are a set union —
+   independent of the order spans land. Phase D walks blocks in index
+   order to rebuild the allocation queue and emit [write_meta] records.
+   Width 1 therefore *is* the plain sweep, and every width produces the
+   same observable state. *)
 let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = fun _ -> ())
-    ?(par = Parfor.inline_ 1) () =
+    ?(width = 1) () =
   let w = t.words in
-  let width = Parfor.width par in
   let n = Vec.length t.objects in
   let kept = Array.init width (fun _ -> Vec.create ()) in
   let dead = Array.init width (fun _ -> Vec.create ()) in
   let kept_bytes = Array.make width 0 and dead_bytes = Array.make width 0 in
   (* [spans.(i).(j)]: packed [(block lsl 14) lor (first lsl 7) lor last]
-     line spans planned by range [i] for region shard [j] — written
-     only by slice [i], read only by slice [j] of the next step. *)
+     line spans planned by range [i] for region shard [j]. *)
   let spans = Array.init width (fun _ -> Array.init width (fun _ -> Vec.create ())) in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        let o = Vec.get t.objects k in
-        if O.space w o = t.id then
-          if O.is_live w o now then begin
-            let oaddr = O.addr w o and osize = O.size w o in
-            Vec.push kept.(i) o;
-            kept_bytes.(i) <- kept_bytes.(i) + osize;
-            let b = block_of_addr t oaddr in
-            let first = (oaddr - b.b_base) / Layout.line in
-            let last =
-              min ((oaddr + osize - 1 - b.b_base) / Layout.line) (Layout.lines_per_block - 1)
-            in
-            let shard = b.b_index / blocks_per_region mod width in
-            Vec.push spans.(i).(shard) ((b.b_index lsl 14) lor (first lsl 7) lor last)
-          end
-          else begin
-            Vec.push dead.(i) o;
-            dead_bytes.(i) <- dead_bytes.(i) + O.size w o
-          end
-      done);
+  for i = 0 to width - 1 do
+    let lo, hi = Parfor.slice ~len:n ~width i in
+    for k = lo to hi do
+      let o = Vec.get t.objects k in
+      if O.space w o = t.id then
+        if O.is_live w o now then begin
+          let oaddr = O.addr w o and osize = O.size w o in
+          Vec.push kept.(i) o;
+          kept_bytes.(i) <- kept_bytes.(i) + osize;
+          let b = block_of_addr t oaddr in
+          let first = (oaddr - b.b_base) / Layout.line in
+          let last =
+            min ((oaddr + osize - 1 - b.b_base) / Layout.line) (Layout.lines_per_block - 1)
+          in
+          let shard = b.b_index / blocks_per_region mod width in
+          Vec.push spans.(i).(shard) ((b.b_index lsl 14) lor (first lsl 7) lor last)
+        end
+        else begin
+          Vec.push dead.(i) o;
+          dead_bytes.(i) <- dead_bytes.(i) + O.size w o
+        end
+    done
+  done;
   Vec.clear t.objects;
   let swept_objects = ref 0 and swept_bytes = ref 0 and live = ref 0 in
   for i = 0 to width - 1 do
@@ -413,27 +410,28 @@ let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = f
     Vec.iter on_dead dead.(i)
   done;
   t.live_bytes <- !live;
-  Parfor.run par (fun j ->
-      for bi = 0 to Vec.length t.blocks - 1 do
-        if bi / blocks_per_region mod width = j then begin
-          let b = Vec.get t.blocks bi in
-          Bytes.fill b.line_marks 0 Layout.lines_per_block '\000';
-          b.marked_lines <- 0
-        end
-      done;
-      for i = 0 to width - 1 do
-        Vec.iter
-          (fun packed ->
-            let b = Vec.get t.blocks (packed lsr 14) in
-            let first = (packed lsr 7) land 0x7f and last = packed land 0x7f in
-            for l = first to last do
-              if Bytes.get b.line_marks l = '\000' then begin
-                Bytes.set b.line_marks l '\001';
-                b.marked_lines <- b.marked_lines + 1
-              end
-            done)
-          spans.(i).(j)
-      done);
+  for j = 0 to width - 1 do
+    for bi = 0 to Vec.length t.blocks - 1 do
+      if bi / blocks_per_region mod width = j then begin
+        let b = Vec.get t.blocks bi in
+        Bytes.fill b.line_marks 0 Layout.lines_per_block '\000';
+        b.marked_lines <- 0
+      end
+    done;
+    for i = 0 to width - 1 do
+      Vec.iter
+        (fun packed ->
+          let b = Vec.get t.blocks (packed lsr 14) in
+          let first = (packed lsr 7) land 0x7f and last = packed land 0x7f in
+          for l = first to last do
+            if Bytes.get b.line_marks l = '\000' then begin
+              Bytes.set b.line_marks l '\001';
+              b.marked_lines <- b.marked_lines + 1
+            end
+          done)
+        spans.(i).(j)
+    done
+  done;
   Vec.clear t.avail;
   t.avail_head <- 0;
   let free = ref [] in

@@ -80,7 +80,7 @@ val sweep :
   now:float ->
   ?write_meta:(block_index:int -> lines:int -> unit) ->
   ?on_dead:(Object_model.t -> unit) ->
-  ?par:Kg_util.Parfor.t ->
+  ?width:int ->
   unit ->
   sweep_stats
 (** Drop objects that died ([now]) or moved to another space, rebuild
@@ -88,12 +88,12 @@ val sweep :
     called once per block that keeps marked lines, so the caller can
     account the line-mark metadata write traffic.
 
-    [par] (default [Parfor.inline_ 1]) executes the sweep's plan steps:
-    population ranges are classified in parallel and the line maps are
+    [width] (default 1) is the number of plan slices: population ranges
+    are classified per {!Kg_util.Parfor.slice} and the line maps are
     rebuilt per 4 MB region shard, while the [on_dead] stream, the
     rebuilt population order and the [write_meta] record stream are
-    replayed sequentially in range / block order — observably identical
-    to the width-1 sweep for any runner and width. *)
+    replayed in range / block order — observably identical to the
+    width-1 sweep at every width. *)
 
 val remove_foreign : t -> unit
 (** Drop objects whose [space] no longer equals this space (moved away

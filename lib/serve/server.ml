@@ -6,11 +6,10 @@
    of the domain's private state (PRNG, arrival clock, session table,
    cache shard, recent ring, debts) plus the epoch-start snapshot;
    the flat op streams are interleaved by the schedule PRNG and
-   applied sequentially on the coordinator through the domain-tagged
-   runtime calls (Epoch.run). The whole run is therefore
-   a pure function of (seed, schedule_seed, domains, config) exactly
-   like the batch mutator, and the ~oracle mode runs the identical
-   protocol inline for the differential harness.
+   applied through the domain-tagged runtime calls (Epoch.run). The
+   whole run is therefore a pure function of
+   (seed, schedule_seed, domains, config) exactly like the batch
+   mutator.
 
    Workload shape, per request:
    - an arrival drawn from a per-domain Poisson process (the n domain
@@ -32,7 +31,7 @@
    queue simulation — service demand is the request's allocated
    bytes, so queueing delay = busy_until - arrival (converted to ms
    at the configured per-domain allocation speed). On top of that the
-   coordinator attributes STW pauses: every collection's modeled
+   apply side attributes STW pauses: every collection's modeled
    pause (Time_model, supplied by the driver) accumulates into a
    running total, and a request's end-to-end latency adds the pause
    time accumulated while its ops were being applied. *)
@@ -118,7 +117,6 @@ type t = {
   life : Lifetime.t;
   live_mb : int;
   nthreads : int;
-  oracle : bool;
   epoch : Epoch.t;  (* op buffers and merge schedule, reused across runs *)
   dstates : dstate array;
   (* derived clock constants *)
@@ -127,7 +125,7 @@ type t = {
   session_life : float;  (* global allocation-clock bytes *)
   tier1_life : float;
   tier2_life : float;
-  (* coordinator-side instrumentation *)
+  (* apply-side instrumentation *)
   latencies : Hdr_histogram.t;
   pauses : Hdr_histogram.t;
   mutable pause_acc : float;  (* total pause ms so far *)
@@ -150,7 +148,7 @@ let tier2_hits t = sum_by (fun ds -> ds.d_t2_hits) t
 let backend_fills t = sum_by (fun ds -> ds.d_backend_fills) t
 let sessions_churned t = sum_by (fun ds -> ds.d_sessions_churned) t
 
-let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(config = default_config)
+let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_config)
     desc ~rt ~seed =
   let threads = max 1 threads in
   if threads > 1 && Rt.domains rt <> threads then
@@ -189,7 +187,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(conf
     life;
     live_mb;
     nthreads = threads;
-    oracle;
     epoch = Epoch.create ~n:threads ~sched:(Rng.of_seed schedule_seed);
     dstates = Array.init threads mk_dstate;
     bytes_per_ms;
@@ -439,7 +436,7 @@ let generate t d ops =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Apply-side hooks and the barrier (coordinator only)                 *)
+(* Apply-side hooks and the barrier                                   *)
 
 let on_request_mark t d kind payload =
   if kind = mark_req_begin then t.d_pause_mark.(d) <- t.pause_acc
@@ -482,7 +479,7 @@ let allocate_startup t =
 
 let run t ~alloc_bytes =
   let e = t.epoch in
-  Epoch.run e t.rt ~oracle:t.oracle ~until:(Rt.now t.rt +. float_of_int alloc_bytes)
+  Epoch.run e t.rt ~until:(Rt.now t.rt +. float_of_int alloc_bytes)
     {
       Epoch.generate = generate t;
       on_alloc = (fun _ _ -> ());

@@ -11,15 +11,14 @@
 
     Determinism is inherited from the epoch protocol: generation is a
     pure function of per-domain private state plus an epoch-start
-    snapshot, streams merge under the schedule PRNG and the
-    coordinator applies ops sequentially ({!Kg_workload.Epoch}) — so a run is a pure function of
-    [(seed, schedule_seed, domains, config)], with [~oracle] running
-    the identical protocol inline for the differential harness.
+    snapshot, and the streams merge under the schedule PRNG
+    ({!Kg_workload.Epoch}) — so a run is a pure function of
+    [(seed, schedule_seed, domains, config)].
 
     Latency model: the domain byte clock doubles as a single-server
     queue — a request's service demand is its allocated bytes, so
     queueing delay emerges as the arrival rate approaches the
-    per-domain allocation speed. On top, the coordinator attributes
+    per-domain allocation speed. On top, the apply side attributes
     modeled STW pauses (supplied by the driver via
     {!attach_pause_recorder}) to the requests in flight while they
     fired. *)
@@ -49,15 +48,13 @@ val create :
   ?live_mb:int ->
   ?threads:int ->
   ?schedule_seed:int ->
-  ?oracle:bool ->
   ?config:config ->
   Kg_workload.Descriptor.t ->
   rt:Kg_gc.Runtime.t ->
   seed:int ->
   t
 (** Same contract as [Mutator.create]: [threads > 1] requires [rt]
-    built with [~domains:threads]; [oracle] generates every stream
-    inline with no [Domain.spawn]. The descriptor supplies the
+    built with [~domains:threads]. The descriptor supplies the
     lifetime demographics and mutation pacing. *)
 
 val config : t -> config

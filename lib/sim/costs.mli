@@ -26,8 +26,8 @@ val t_gc_fixed_ns : float
 (** Fixed pause cost per collection (root scanning, bookkeeping). *)
 
 val t_gc_sync_ns : float
-(** Extra fixed cost per collection when the collector phases run on a
-    worker-domain team: fork/join barriers and plan-buffer merging. *)
+(** Extra fixed cost per collection for the modeled parallel collector
+    ([parallel_gc]): fork/join barriers and plan-buffer merging. *)
 
 val t_barrier_fast_ns : float
 (** Fast-path reference/primitive barrier, per store. *)

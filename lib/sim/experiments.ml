@@ -699,12 +699,12 @@ let ext_threads env =
     [ "xalan"; "antlr"; "bloat" ];
   t
 
-(* The ext-threads sweep with the collector phases also running on the
-   mutator domains (the "Retrofitting Parallelism onto OCaml" template:
-   stop-the-world sections with parallel collector threads). The heap
-   behaviour — every counter and traffic byte — is identical to
-   ext-threads by the plan/apply protocol; what changes is the modeled
-   execution time, whose GC term now divides across the team. Shorter
+(* The ext-threads sweep on the modeled parallel collector (the
+   "Retrofitting Parallelism onto OCaml" template: stop-the-world
+   sections with parallel collector threads). The heap behaviour —
+   every counter and traffic byte — is identical to ext-threads, since
+   [parallel_gc] is a model flag; what changes is the modeled
+   execution time, whose GC term now divides across the domains. Shorter
    runs at the same write volume mean higher sustained GB/s, so the
    multi-thread columns rise relative to ext-threads, and the gap
    isolates exactly the Amdahl share the sequential collector was

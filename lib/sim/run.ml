@@ -96,9 +96,9 @@ type result = {
   serve : serve_metrics option;
 }
 
-(* The pause-time model handed to the serve recorder and the pause
-   profile helpers: Time_model.pause_ms with the run's domain count
-   applied, in the shape Gc_stats.pause_log expects. *)
+(* The pause-time model handed to the serve recorder and
+   Gc_stats.pause_histogram: Time_model.pause_ms with the run's domain
+   count applied. *)
 let pause_model ?(domains = 1) ?(parallel_gc = false) () =
  fun (_ : Phase.t) ~copied ~scanned -> Time_model.pause_ms ~domains ~parallel_gc ~copied ~scanned ()
 
@@ -135,14 +135,8 @@ let config_of ~heap_scale spec bench =
     ~heap_mb:(2 * live_mb) spec.collector
 
 let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = false)
-    ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(parallel_gc = false)
+    ?(threads = 1) ?(schedule_seed = 0) ?oracle:_ ?(parallel_gc = false)
     ?(check = false) ?recorder ?serve ~mode spec bench =
-  (* The oracle protocol runs every parallel component inline. The
-     requested flag still drives the pause-time model: the oracle
-     models the same machine, executed inline, so its pause profile
-     must match the team run's bit for bit. *)
-  let modeled_parallel_gc = parallel_gc in
-  let parallel_gc = parallel_gc && not oracle in
   let live_mb = live_mb_of ~heap_scale bench in
   let cfg = config_of ~heap_scale spec bench in
   let counting_counters = ref None in
@@ -164,8 +158,7 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
       counting_counters := Some c;
       (None, None, map, iface)
   in
-  let rt = Runtime.create ~domains:threads ~parallel_gc ~config:cfg ~mem ~map:runtime_map ~seed () in
-  Fun.protect ~finally:(fun () -> Runtime.shutdown rt) @@ fun () ->
+  let rt = Runtime.create ~domains:threads ~config:cfg ~mem ~map:runtime_map ~seed () in
   Option.iter (fun r -> Runtime.set_event_hook rt (Trace.record r)) recorder;
   (* Sample heap composition at every collection. *)
   let dram_acc = Stats.Acc.create () and pcm_acc = Stats.Acc.create () in
@@ -188,7 +181,7 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
     match serve with
     | None ->
       let mutator =
-        Mutator.create ~live_mb ~threads ~schedule_seed ~oracle bench ~rt ~seed:(seed + 1)
+        Mutator.create ~live_mb ~threads ~schedule_seed bench ~rt ~seed:(seed + 1)
       in
       Mutator.allocate_startup mutator;
       (* Demographics reflect steady state, not boot-image construction. *)
@@ -199,7 +192,7 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
     | Some serve_cfg ->
       let module S = Kg_serve.Server in
       let srv =
-        S.create ~live_mb ~threads ~schedule_seed ~oracle ~config:serve_cfg bench ~rt
+        S.create ~live_mb ~threads ~schedule_seed ~config:serve_cfg bench ~rt
           ~seed:(seed + 1)
       in
       S.allocate_startup srv;
@@ -208,7 +201,7 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
       (* Attached after the reset so boot collections stay out of the
          pause profile, like every other steady-state statistic. *)
       S.attach_pause_recorder srv
-        ~pause_ms:(pause_model ~domains:threads ~parallel_gc:modeled_parallel_gc ());
+        ~pause_ms:(pause_model ~domains:threads ~parallel_gc ());
       S.run srv ~alloc_bytes;
       Some
         {

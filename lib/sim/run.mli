@@ -83,7 +83,8 @@ val pause_model :
   ?domains:int -> ?parallel_gc:bool -> unit ->
   Kg_gc.Phase.t -> copied:int -> scanned:int -> float
 (** {!Time_model.pause_ms} in the shape
-    {!Kg_gc.Gc_stats.pause_log} and the serve pause recorder expect. *)
+    {!Kg_gc.Gc_stats.pause_histogram} and the serve pause recorder
+    expect. *)
 
 val pcm_write_rate_4core_gbs : result -> float
 (** Simulated PCM write rate: writeback bytes / reconstructed time. *)
@@ -116,20 +117,23 @@ val run :
     so that observer and major collections still fire in shortened
     runs; [cap_mb] bounds the run length (default 256 MB).
 
-    [threads] (default 1) runs that many mutator domains over a
-    runtime created with matching [~domains] — real [Domain]s
-    generating op streams merged deterministically by [schedule_seed]
-    (default 0); [oracle] (default false) runs the same protocol
-    inline on one domain (see {!Kg_workload.Mutator.create}). The
-    result is a pure function of the seeds, not of OS scheduling.
+    [threads] (default 1) simulates that many mutator domains over a
+    runtime created with matching [~domains]: each domain generates its
+    own op stream, and a merge seeded by [schedule_seed] (default 0)
+    interleaves them (see {!Kg_workload.Epoch}). Every domain runs on
+    the calling OCaml domain, so [threads] is not bounded by the OCaml
+    domain limit, and the result is a pure function of the seeds.
+    [threads] also scales the modeled mutator time
+    ({!Time_model.cpu_parts}).
 
-    [parallel_gc] (default false) additionally runs the collection
-    phases on a team of [threads] worker domains (see
-    {!Kg_gc.Runtime.create}). Every counter, trace and traffic figure
-    stays bit-identical to the inline collector at the same [threads];
-    only the modeled collection time ([time_parts.gc_ns], and so
-    [time_s]) shrinks. Forced off by [oracle], which runs every
-    parallel component inline.
+    [parallel_gc] (default false) is a model parameter: the simulated
+    machine collects on [threads] cores, so the modeled collection time
+    ([time_parts.gc_ns], and so [time_s]) and the modeled pauses
+    divide the collection work by [threads]. Every counter, trace and
+    traffic figure is the same with and without it.
+
+    [oracle] is accepted and ignored; it is kept for the host-time
+    benchmark, which calls it.
 
     [check] (default false) attaches the {!Kg_gc.Verify} heap auditor
     to every collection phase plus a final end-of-run audit, reporting

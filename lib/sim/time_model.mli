@@ -49,5 +49,5 @@ val pause_ms :
 (** Stop-the-world pause estimate for one collection from its work
     terms (used to check the paper's pause ordering: nursery <
     observer < full-heap, §4.2.1). With [parallel_gc] and multiple
-    [domains] the work terms divide across the collector team and the
-    sync term is added, shrinking the pause itself. *)
+    [domains] the work terms divide across the modeled collector
+    threads and the sync term is added, shrinking the pause itself. *)

@@ -1,38 +1,13 @@
-(* A deterministic parallel-for seam.
+(* The slice partition behind the collector's plan/apply phases.
 
-   A runner fixes a partition [width] and an execution strategy for
-   running [width] independent slices. The partition is part of the
-   observable protocol (per-slice buffers are merged in slice order),
-   so a runner that executes inline and one that executes on real
-   domains must produce identical results — which is exactly what the
-   GC's parallel≡oracle differential asserts. *)
+   A phase of width [width] plans each slice into a slice-private
+   buffer, in slice order on the calling domain, and then applies the
+   buffers in slice order. The partition is part of the observable
+   protocol: it fixes the merge order, so it must not depend on the
+   width's execution. *)
 
-type t = {
-  width : int;  (** number of slices every [run] call is split into *)
-  run : (int -> unit) -> unit;
-      (** [run f] invokes [f i] exactly once for each [i] in
-          [0 .. width-1] and returns when all have finished. The slices
-          may execute concurrently: [f] must only read shared state and
-          write slice-private buffers (or locations no other slice
-          touches). *)
-}
-
-let width t = t.width
-let run t f = t.run f
-
-let inline_ width =
-  if width <= 0 then invalid_arg "Parfor.inline_: width must be positive";
-  {
-    width;
-    run =
-      (fun f ->
-        for i = 0 to width - 1 do
-          f i
-        done);
-  }
-
-(* Slice [i] of a [width]-way partition of [0 .. len-1]: contiguous,
-   covering, and independent of how slices are executed. *)
+(* Slice [i] of a [width]-way partition of [0 .. len-1]: contiguous and
+   covering. *)
 let slice ~len ~width i =
   let lo = i * len / width and hi = (i + 1) * len / width in
   (lo, hi - 1)

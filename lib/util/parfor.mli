@@ -1,27 +1,13 @@
-(** A deterministic parallel-for seam.
+(** The slice partition behind the collector's plan/apply phases.
 
-    A runner fixes a partition [width] and an execution strategy for
-    running [width] independent slices — inline for the sequential path
-    and the oracle, on a worker-domain team for the parallel collector.
-    Because per-slice results are merged in slice order, the two
-    strategies are observationally identical; the width, not the
-    strategy, is what the protocol depends on. *)
-
-type t = {
-  width : int;  (** number of slices every [run] call is split into *)
-  run : (int -> unit) -> unit;
-      (** [run f] invokes [f i] exactly once for each [i] in
-          [0 .. width-1] and returns when all have finished. Slices may
-          execute concurrently: [f] must only read shared state and
-          write slice-private buffers. *)
-}
-
-val width : t -> int
-val run : t -> (int -> unit) -> unit
-
-val inline_ : int -> t
-(** A runner of the given width executing every slice sequentially on
-    the calling domain, in slice order. *)
+    A collection phase of width [w] (the runtime's simulated domain
+    count) splits its work into [w] contiguous slices, plans every
+    slice into a slice-private buffer, and applies the buffers in slice
+    order. All slices run on the calling domain, slice [0] first. The
+    partition fixes the merge order, and with it the bit-identity of
+    every statistic and port record the phase emits; the modeled
+    parallel collector ([Kg_sim.Time_model]) divides the phase's work
+    by the same width. *)
 
 val slice : len:int -> width:int -> int -> int * int
 (** [slice ~len ~width i] is the [i]-th contiguous index range

@@ -6,7 +6,8 @@
    Each generator also carries a small cache of Zipf envelopes: the
    bounds [h_x1] and [h_n] depend only on (n, s), and a generator is
    only ever driven by one domain at a time, so a per-generator cache
-   is safe under concurrent generation on worker domains. *)
+   is safe when the engine pool runs simulations on several domains at
+   once. *)
 
 let zipf_slots = 4
 let zipf_stride = 4  (* per slot: n, s, h_x1, h_n *)

@@ -1,6 +1,6 @@
 (* The generate-then-merge epoch driver shared by Kg_workload.Mutator
    and Kg_serve: flat per-domain op buffers, the run-length schedule
-   merge, the coordinator-side apply, and the worker-domain team. The
+   merge, the apply and the run loop, all on the calling domain. The
    callers supply only generation (and apply-side hooks); the
    determinism argument is spelled out in epoch.mli.
 
@@ -111,112 +111,6 @@ let mark b kind payload =
   put b tag_mark;
   put b kind;
   put_float b payload
-
-(* ------------------------------------------------------------------ *)
-(* The worker team                                                     *)
-
-(* One real Domain per mutator domain above 0 (the coordinator runs
-   domain 0's generator itself while waiting), parked on a condition
-   variable between epochs. In oracle mode no Domains are spawned and
-   [round] runs every generator inline in domain order — producing, by
-   purity of the generators, the identical streams. A generator that
-   raises on a worker is caught there, the round still completes, and
-   the coordinator re-raises it (the first one) once every domain is
-   done. *)
-type team = {
-  n : int;
-  gen : int -> unit;
-  tm : Mutex.t;
-  tcv : Condition.t;
-  mutable t_epoch : int;
-  mutable t_done : int;
-  mutable t_stop : bool;
-  mutable t_exn : (exn * Printexc.raw_backtrace) option;
-  mutable workers : unit Domain.t array;
-}
-
-let spawn ~n ~oracle gen =
-  let team =
-    {
-      n;
-      gen;
-      tm = Mutex.create ();
-      tcv = Condition.create ();
-      t_epoch = 0;
-      t_done = 0;
-      t_stop = false;
-      t_exn = None;
-      workers = [||];
-    }
-  in
-  let worker d () =
-    let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock team.tm;
-      while team.t_epoch = !seen && not team.t_stop do
-        Condition.wait team.tcv team.tm
-      done;
-      if team.t_stop then begin
-        running := false;
-        Mutex.unlock team.tm
-      end
-      else begin
-        seen := team.t_epoch;
-        Mutex.unlock team.tm;
-        (try gen d
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Mutex.lock team.tm;
-           if team.t_exn = None then team.t_exn <- Some (e, bt);
-           Mutex.unlock team.tm);
-        Mutex.lock team.tm;
-        team.t_done <- team.t_done + 1;
-        Condition.broadcast team.tcv;
-        Mutex.unlock team.tm
-      end
-    done
-  in
-  if not (oracle || n <= 1) then
-    team.workers <- Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1)));
-  team
-
-let round team =
-  if Array.length team.workers = 0 then
-    for d = 0 to team.n - 1 do
-      team.gen d
-    done
-  else begin
-    Mutex.lock team.tm;
-    team.t_done <- 0;
-    team.t_exn <- None;
-    team.t_epoch <- team.t_epoch + 1;
-    Condition.broadcast team.tcv;
-    Mutex.unlock team.tm;
-    let local_exn =
-      match team.gen 0 with
-      | () -> None
-      | exception e -> Some (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock team.tm;
-    while team.t_done < team.n - 1 do
-      Condition.wait team.tcv team.tm
-    done;
-    let worker_exn = team.t_exn in
-    Mutex.unlock team.tm;
-    match (local_exn, worker_exn) with
-    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None, None -> ()
-  end
-
-let finish team =
-  if not team.t_stop then begin
-    Mutex.lock team.tm;
-    team.t_stop <- true;
-    Condition.broadcast team.tcv;
-    Mutex.unlock team.tm;
-    Array.iter Domain.join team.workers
-  end
 
 (* ------------------------------------------------------------------ *)
 (* The epoch driver                                                    *)
@@ -349,7 +243,7 @@ type hooks = {
 }
 
 (* Apply the merged schedule through the domain-tagged runtime
-   interface, on the coordinator only. *)
+   interface. *)
 let apply e rt h =
   for d = 0 to e.n - 1 do
     e.pos.(d) <- 0;
@@ -399,19 +293,14 @@ let apply e rt h =
     e.fpos.(d) <- !fp
   done
 
-let run e rt ~oracle h ~until =
-  let team = spawn ~n:e.n ~oracle (fun d -> h.generate d e.bufs.(d)) in
-  (try
-     while Rt.now rt < until do
-       snapshot e rt;
-       Array.iter clear_ops e.bufs;
-       round team;
-       merge e;
-       apply e rt h;
-       h.barrier ()
-     done
-   with ex ->
-     let bt = Printexc.get_raw_backtrace () in
-     finish team;
-     Printexc.raise_with_backtrace ex bt);
-  finish team
+let run e rt h ~until =
+  while Rt.now rt < until do
+    snapshot e rt;
+    Array.iter clear_ops e.bufs;
+    for d = 0 to e.n - 1 do
+      h.generate d e.bufs.(d)
+    done;
+    merge e;
+    apply e rt h;
+    h.barrier ()
+  done

@@ -3,22 +3,23 @@
 
     One epoch runs in four steps. The driver takes an epoch-start
     snapshot of the allocation clock and every domain's nursery
-    headroom. Every mutator domain {e generates} its op stream into its
-    own flat {!ops} buffer, on a real worker [Domain] or inline (see
-    {!spawn}). The coordinator {e merges} the streams into a run
-    schedule drawn from the schedule PRNG and {e applies} it through
-    the domain-tagged runtime calls. A caller barrier then resolves the
-    epoch's pending targets.
+    headroom. Every simulated mutator domain {e generates} its op
+    stream into its own flat {!ops} buffer, domain 0 first. The driver
+    {e merges} the streams into a run schedule drawn from the schedule
+    PRNG and {e applies} it through the domain-tagged runtime calls. A
+    caller barrier then resolves the epoch's pending targets. Every
+    step runs on the calling OCaml domain: a simulated domain is a
+    stream of ops, not a host thread, so the domain count is not
+    bounded by the OCaml domain limit.
 
     {b Determinism.} Generation is a pure function of the domain's
-    private state and the snapshot, so worker and inline generation
-    give identical buffers. The merge draws from the schedule PRNG only,
-    and its draws depend only on the per-domain op counts. Apply runs
-    on the coordinator alone, after the whole merge, so apply-side
-    hooks that draw from the same PRNG (the batch mutator's reservoir
-    sampling) see the same draw order as with a per-op merge. A run is
-    therefore a pure function of the seeds, the domain count and the
-    configuration.
+    private state and the snapshot, so the order domains generate in
+    does not matter. The merge draws from the schedule PRNG only, and
+    its draws depend only on the per-domain op counts. Apply runs after
+    the whole merge, so apply-side hooks that draw from the same PRNG
+    (the batch mutator's reservoir sampling) see the same draw order as
+    with a per-op merge. A run is therefore a pure function of the
+    seeds, the domain count and the configuration.
 
     {b Host cost.} The op buffers, the run schedule and the
     epoch-allocation tables are reused across epochs, so a steady-state
@@ -55,29 +56,6 @@ val mark : ops -> int -> float -> unit
     hands it to {!hooks.on_mark} at its place in the schedule (serve's
     request begin and end markers). *)
 
-(** {2 The worker team} *)
-
-type team
-
-val spawn : n:int -> oracle:bool -> (int -> unit) -> team
-(** [spawn ~n ~oracle gen]: a team running [gen d] once per round for
-    every domain [d]. With [oracle] false and [n > 1], domains
-    [1 .. n-1] get real worker Domains parked on a condition variable;
-    domain 0 always runs on the coordinator. With [oracle] true (or
-    [n = 1]) no Domains are spawned and rounds run inline. *)
-
-val round : team -> unit
-(** Run one epoch's generation: workers run [gen d] concurrently while
-    the coordinator runs [gen 0], returning once all are done — or, in
-    oracle mode, run [gen 0 .. gen (n-1)] inline in domain order. If a
-    generator raises, the round still waits for every domain and then
-    re-raises the exception (the coordinator's own first) on the
-    coordinator. *)
-
-val finish : team -> unit
-(** Stop and join the workers. Idempotent. Callers must invoke this on
-    both the normal and the exceptional exit path. *)
-
 (** {2 The epoch driver} *)
 
 type t
@@ -103,18 +81,19 @@ val resolve_slots : t -> int -> int array -> unit
 type hooks = {
   generate : int -> ops -> unit;
       (** [generate d ops]: domain [d]'s op stream, appended to an
-          emptied buffer. Runs on a worker domain; must touch only
-          domain-private and read-only state. *)
+          emptied buffer. Must touch only domain-private and
+          read-only state: the snapshot, not the live runtime, is what
+          a domain sees of the epoch. *)
   on_alloc : int -> Kg_heap.Object_model.t -> unit;
       (** apply: domain [d]'s allocation was just created *)
   on_mark : int -> int -> float -> unit;  (** apply: [on_mark d kind payload] *)
   barrier : unit -> unit;  (** after apply: resolve pending slots *)
 }
 
-val run : t -> Kg_gc.Runtime.t -> oracle:bool -> hooks -> until:float -> unit
+val run : t -> Kg_gc.Runtime.t -> hooks -> until:float -> unit
 (** Run epochs until the runtime's allocation clock reaches [until]:
-    snapshot, generate, merge, apply, barrier. Spawns the team (see
-    {!spawn}) and joins it on every exit path. *)
+    snapshot, generate (domains [0 .. n-1] in order), merge, apply,
+    barrier. An exception from a hook propagates at once. *)
 
 val schedule : Kg_util.Rng.t -> int array -> (int * int) list
 (** [schedule rng counts] is the run schedule the merge builds for

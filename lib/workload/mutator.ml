@@ -16,8 +16,8 @@ let read_debt = 1
 (* One mutator stream's private state: its PRNG, its window of recently
    allocated objects and its outstanding read/write debts. The 1-domain
    sequential path runs one stream; the epoch path runs one per mutator
-   domain, touched only by that domain during generation and by the
-   coordinator between epochs. The recent ring holds {!Epoch} targets
+   domain, touched only by that domain's generation and by the
+   barrier between epochs. The recent ring holds {!Epoch} targets
    ([Epoch.none] when empty), so under the epoch protocol it also holds
    pending markers until the epoch materialises them. Pools of mature
    targets are shared (threads share data structures). *)
@@ -29,10 +29,9 @@ type stream = {
 }
 
 (* With [threads > 1] the mutator runs the epoch protocol of {!Epoch}:
-   each domain *generates* a flat op stream in parallel as a pure
-   function of its stream plus a read-only snapshot, and the
-   coordinator *applies* the streams sequentially in a schedule-seeded
-   deterministic merge. *)
+   each domain *generates* a flat op stream as a pure function of its
+   stream plus a read-only snapshot, and the streams are *applied* in
+   a schedule-seeded deterministic merge. *)
 type t = {
   desc : Descriptor.t;
   rt : Rt.t;
@@ -48,7 +47,6 @@ type t = {
   live_mb : int;
   (* Multicore: *)
   nthreads : int;
-  oracle : bool;  (* interleaved oracle: generate inline, no Domains *)
   sched_rng : Rng.t;  (* merge schedule; seeded independently *)
   epoch : Epoch.t;  (* op buffers and schedule, reused across runs *)
   boot_allocs_by_thread : int array;
@@ -59,7 +57,7 @@ let runtime t = t.rt
 let thread_count t = t.nthreads
 let boot_allocs_by_thread t = Array.copy t.boot_allocs_by_thread
 
-let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
+let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc
     ~rt ~seed =
   (* Calibrated against the default sizes regardless of the collector
      under test: lifetimes are a workload property. *)
@@ -106,7 +104,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
     large_mean;
     live_mb;
     nthreads = threads;
-    oracle;
     sched_rng;
     epoch = Epoch.create ~n:threads ~sched:sched_rng;
     boot_allocs_by_thread = Array.make threads 0;
@@ -152,8 +149,8 @@ let assign_heat_rng t rng cls =
 
 (* Shared-pool registration. The cold-pool reservoir draws from [rng]:
    the allocating stream's own PRNG on the sequential path and at boot
-   (startup runs before any worker exists), the schedule PRNG when the
-   epoch coordinator applies, so generation streams stay untouched. *)
+   (startup runs before any epoch), the schedule PRNG when an epoch
+   applies, so generation streams stay untouched. *)
 let add_to_pools t rng (o : O.t) =
   t.allocated <- t.allocated + 1;
   match O.heat t.words o with
@@ -398,7 +395,7 @@ let run_epochs t ~alloc_bytes ~on_tick ~tick_bytes =
   let start = Rt.now t.rt in
   let next_tick = ref (start +. float_of_int tick_bytes) in
   let e = t.epoch in
-  Epoch.run e t.rt ~oracle:t.oracle ~until:(start +. float_of_int alloc_bytes)
+  Epoch.run e t.rt ~until:(start +. float_of_int alloc_bytes)
     {
       Epoch.generate = generate t;
       on_alloc = (fun _ o -> add_to_pools t t.sched_rng o);

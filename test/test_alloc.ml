@@ -3,9 +3,8 @@
    The runtime's per-op barrier paths must allocate nothing on the
    host, and the epoch driver's steady state must stay within a small
    per-op budget of minor-heap words. [Gc.minor_words] counts the
-   calling domain's minor allocation; every run here stays on one
-   domain (inline generation, no collector team), so it sees all of
-   it.
+   calling domain's minor allocation; every simulated domain and
+   collector slice runs on the calling domain, so it sees all of it.
 
    The per-op ceilings hold for the dev build, where modules are
    compiled [-opaque] and nothing is inlined across modules: there an
@@ -107,7 +106,7 @@ let test_serve_epoch_per_op () =
     per_op_words
       ~setup:(fun rt ->
         let s =
-          S.create ~live_mb:16 ~threads:2 ~oracle:true
+          S.create ~live_mb:16 ~threads:2
             ~config:{ S.default_config with S.rate = 1024.0 }
             (pjbb ()) ~rt ~seed:3
         in
@@ -124,7 +123,7 @@ let test_mutator_epoch_per_op () =
   let words =
     per_op_words
       ~setup:(fun rt ->
-        let m = M.create ~live_mb:16 ~threads:2 ~oracle:true (pjbb ()) ~rt ~seed:3 in
+        let m = M.create ~live_mb:16 ~threads:2 (pjbb ()) ~rt ~seed:3 in
         M.allocate_startup m;
         m)
       ~run:(fun m alloc_bytes -> M.run m ~alloc_bytes ())

@@ -381,8 +381,7 @@ let test_immix_write_meta_callback () =
 (* The sweep's plan/apply protocol must be observation-equivalent at
    any slice width: same stats, same on_dead and write_meta sequences,
    same survivor order, and the same rebuilt allocation queue (pinned
-   by the address of the first post-sweep allocation). Width 4 runs on
-   a real worker-domain team. *)
+   by the address of the first post-sweep allocation). *)
 let test_immix_parallel_sweep_equiv () =
   let build () =
     let w = fresh_words () in
@@ -393,14 +392,14 @@ let test_immix_parallel_sweep_equiv () =
     done;
     (w, sp)
   in
-  let run par =
+  let run width =
     let w, sp = build () in
     let deads = ref [] and metas = ref [] in
     let stats =
       Immix_space.sweep sp ~now:5.5
         ~write_meta:(fun ~block_index ~lines -> metas := (block_index, lines) :: !metas)
         ~on_dead:(fun o -> deads := o :: !deads)
-        ?par ()
+        ~width ()
     in
     let survivors = Kg_util.Vec.to_array (Immix_space.objects sp) in
     let next = obj w ~size:64 () in
@@ -408,17 +407,15 @@ let test_immix_parallel_sweep_equiv () =
     (stats, List.rev !deads, List.rev !metas, survivors, O.addr w next,
      Immix_space.audit sp)
   in
-  let team = Kg_gc.Gc_par.create ~domains:4 ~parallel:true in
-  Fun.protect ~finally:(fun () -> Kg_gc.Gc_par.shutdown team) @@ fun () ->
-  let s1, d1, m1, v1, a1, audit1 = run None in
-  let s4, d4, m4, v4, a4, audit4 = run (Some (Kg_gc.Gc_par.runner team)) in
+  let s1, d1, m1, v1, a1, audit1 = run 1 in
+  let s4, d4, m4, v4, a4, audit4 = run 4 in
   check_bool "sweep stats equal" true (s1 = s4);
   check_bool "on_dead order equal" true (d1 = d4);
   check_bool "write_meta sequence equal" true (m1 = m4);
   check_bool "survivor order equal" true (v1 = v4);
   check_int "next alloc address equal" a1 a4;
   Alcotest.(check (list string)) "audit clean (one slice)" [] audit1;
-  Alcotest.(check (list string)) "audit clean (team)" [] audit4
+  Alcotest.(check (list string)) "audit clean (four slices)" [] audit4
 
 let test_immix_region_lookup () =
   let w = fresh_words () in

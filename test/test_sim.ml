@@ -231,6 +231,19 @@ let test_experiments_cache_reuse () =
   let b = Experiments.fetch env R.Count R.kg_n d in
   check_bool "memoised (same physical result)" true (a == b)
 
+(* ------------------------------------------------------------------ *)
+(* CLI arguments                                                       *)
+
+(* --domains takes a positive integer: 0 or a negative count is a
+   usage error, not an exception from Runtime.create. *)
+let test_cli_positive_int () =
+  let parse = Cmdliner.Arg.conv_parser Kg_cli.Cli_args.positive_int in
+  let accepted s = match parse s with Ok n -> Some n | Error _ -> None in
+  Alcotest.(check (option int)) "0 rejected" None (accepted "0");
+  Alcotest.(check (option int)) "-1 rejected" None (accepted "-1");
+  Alcotest.(check (option int)) "x rejected" None (accepted "x");
+  Alcotest.(check (option int)) "2 accepted" (Some 2) (accepted "2")
+
 let () =
   Alcotest.run "kg_sim"
     [
@@ -270,4 +283,5 @@ let () =
           Alcotest.test_case "cache reuse" `Quick test_experiments_cache_reuse;
           Alcotest.test_case "modes agree at barrier level" `Slow test_modes_agree_at_barrier_level;
         ] );
+      ("cli", [ Alcotest.test_case "positive int converter" `Quick test_cli_positive_int ]);
     ]

@@ -402,27 +402,37 @@ let epoch_schedule_qcheck =
       && coalesced runs
       && Kg_util.Rng.int r1 1_000_000 = Kg_util.Rng.int r2 1_000_000)
 
-(* A generator raising on a worker domain must surface on the
-   coordinator once the round completes, not leave it waiting for a
-   worker that never reports; the team must still join. Likewise for a
-   raise on the coordinator's own domain. *)
-let test_epoch_team_raises () =
+(* A generator that raises stops the run at once: the exception reaches
+   the caller of [Epoch.run], the domains before the raising one have
+   generated (in domain order) and the ones after it have not, and no
+   op of the epoch is applied. *)
+let test_epoch_raising_generator () =
   List.iter
     (fun bad ->
+      let rt = mk_rt ~domains:3 Kg_gc.Gc_config.Gen_immix in
+      let e = Epoch.create ~n:3 ~sched:(Kg_util.Rng.of_seed 0) in
       let rounds = Array.make 3 0 in
-      let team =
-        Epoch.spawn ~n:3 ~oracle:false (fun d ->
-            rounds.(d) <- rounds.(d) + 1;
-            if d = bad then failwith (Printf.sprintf "generator %d" d))
+      let hooks =
+        {
+          Epoch.generate =
+            (fun d ops ->
+              rounds.(d) <- rounds.(d) + 1;
+              if d = bad then failwith (Printf.sprintf "generator %d" d);
+              ignore (Epoch.alloc ops ~size:64 ~heat:O.Cold ~life:infinity ~ref_fields:0));
+          on_alloc = (fun _ _ -> ());
+          on_mark = (fun _ _ _ -> ());
+          barrier = (fun () -> ());
+        }
       in
       Alcotest.check_raises
-        (Printf.sprintf "raise on domain %d reaches the coordinator" bad)
+        (Printf.sprintf "raise on domain %d reaches the caller" bad)
         (Failure (Printf.sprintf "generator %d" bad))
-        (fun () -> Epoch.round team);
-      Epoch.finish team;
+        (fun () -> Epoch.run e rt hooks ~until:(Rt.now rt +. 1.0));
       Alcotest.(check (array int))
-        (Printf.sprintf "every domain ran once (bad %d)" bad)
-        [| 1; 1; 1 |] rounds)
+        (Printf.sprintf "domains up to %d generated once" bad)
+        (Array.init 3 (fun d -> if d <= bad then 1 else 0))
+        rounds;
+      check_bool "nothing applied" true (Rt.now rt = 0.0))
     [ 1; 2; 0 ]
 
 let () =
@@ -470,6 +480,6 @@ let () =
       ( "epoch",
         [
           q epoch_schedule_qcheck;
-          Alcotest.test_case "raising generator" `Quick test_epoch_team_raises;
+          Alcotest.test_case "raising generator" `Quick test_epoch_raising_generator;
         ] );
     ]
