@@ -102,10 +102,6 @@ let heap_scale_arg =
   let doc = "Divide the benchmark's live-heap target by this factor." in
   Arg.(value & opt int 3 & info [ "heap-scale" ] ~doc)
 
-let cap_arg =
-  let doc = "Cap the run length in MB of allocation." in
-  Arg.(value & opt int 256 & info [ "cap-mb" ] ~doc)
-
 let seed_arg =
   let doc = "PRNG seed (runs are deterministic given a seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
@@ -129,8 +125,8 @@ let observer_arg =
 let run_t =
   Term.(
     const run_cmd $ bench_arg $ collector_arg $ simulate_arg $ scale_arg $ heap_scale_arg
-    $ cap_arg $ seed_arg $ A.domains_arg $ schedule_seed_arg $ A.parallel_gc_arg $ threshold_arg
-    $ trigger_arg $ observer_arg)
+    $ A.cap_mb_arg $ seed_arg $ A.domains_arg $ schedule_seed_arg $ A.parallel_gc_arg
+    $ threshold_arg $ trigger_arg $ observer_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check: audit heap invariants across benchmarks x collectors         *)
@@ -192,7 +188,7 @@ let jobs_arg =
 
 let check_t =
   Term.(
-    const check_cmd $ benches_arg $ scale_arg $ heap_scale_arg $ cap_arg $ seed_arg
+    const check_cmd $ benches_arg $ scale_arg $ heap_scale_arg $ A.cap_mb_arg $ seed_arg
     $ A.domains_arg $ A.parallel_gc_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -262,7 +258,7 @@ let trace_file_arg =
 
 let replay_t =
   Term.(
-    const replay_cmd $ bench_arg $ collector_arg $ scale_arg $ heap_scale_arg $ cap_arg
+    const replay_cmd $ bench_arg $ collector_arg $ scale_arg $ heap_scale_arg $ A.cap_mb_arg
     $ seed_arg $ trace_file_arg)
 
 let list_cmd () =

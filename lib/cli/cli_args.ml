@@ -25,3 +25,7 @@ let parallel_gc_arg =
      without it."
   in
   Arg.(value & flag & info [ "parallel-gc" ] ~doc)
+
+let cap_mb_arg =
+  let doc = "Cap the run length in MB of allocation." in
+  Arg.(value & opt positive_int 256 & info [ "cap-mb" ] ~doc)

@@ -1,5 +1,5 @@
-(** Command-line arguments shared by the [run], [check] and [serve]
-    subcommands. *)
+(** Command-line arguments shared by the [run], [check], [replay] and
+    [serve] subcommands. *)
 
 val positive_int : int Cmdliner.Arg.conv
 (** An integer of at least 1; anything else is a usage error. *)
@@ -9,3 +9,7 @@ val domains_arg : int Cmdliner.Term.t
 
 val parallel_gc_arg : bool Cmdliner.Term.t
 (** [--parallel-gc]: model a collector that runs on every domain. *)
+
+val cap_mb_arg : int Cmdliner.Term.t
+(** [--cap-mb N] (default 256, positive): the run length cap in MB of
+    allocation. *)

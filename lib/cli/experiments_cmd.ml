@@ -108,7 +108,9 @@ let quick_arg =
 
 let scale_arg = Arg.(value & opt (some int) None & info [ "scale" ] ~doc:"Allocation scale divisor.")
 let heap_arg = Arg.(value & opt (some int) None & info [ "heap-scale" ] ~doc:"Live-heap scale divisor.")
-let cap_arg = Arg.(value & opt (some int) None & info [ "cap-mb" ] ~doc:"Run length cap (MB).")
+let cap_arg =
+  Arg.(
+    value & opt (some Cli_args.positive_int) None & info [ "cap-mb" ] ~doc:"Run length cap (MB).")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.")
 let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned tables.")
 

@@ -82,7 +82,7 @@ let collector_arg =
 
 let rate_arg =
   let doc = "Open-loop arrival rate, requests/sec across all domains." in
-  Arg.(value & opt int 1024 & info [ "rate" ] ~docv:"REQ_S" ~doc)
+  Arg.(value & opt Cli_args.positive_int 1024 & info [ "rate" ] ~docv:"REQ_S" ~doc)
 
 let simulate_arg =
   let doc = "Run the full cache/memory simulation instead of barrier-level counting." in
@@ -96,10 +96,6 @@ let heap_scale_arg =
   let doc = "Divide the benchmark's live-heap target by this factor." in
   Arg.(value & opt int 3 & info [ "heap-scale" ] ~doc)
 
-let cap_arg =
-  let doc = "Cap the run length in MB of allocation." in
-  Arg.(value & opt int 256 & info [ "cap-mb" ] ~doc)
-
 let seed_arg =
   let doc = "PRNG seed (runs are deterministic given a seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
@@ -111,5 +107,5 @@ let schedule_seed_arg =
 let term =
   Term.(
     const serve_cmd $ bench_arg $ collector_arg $ rate_arg $ simulate_arg $ scale_arg
-    $ heap_scale_arg $ cap_arg $ seed_arg $ Cli_args.domains_arg $ schedule_seed_arg
+    $ heap_scale_arg $ Cli_args.cap_mb_arg $ seed_arg $ Cli_args.domains_arg $ schedule_seed_arg
     $ Cli_args.parallel_gc_arg)

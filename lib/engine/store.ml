@@ -4,8 +4,8 @@ module R = Kg_sim.Run
 module GS = Kg_gc.Gc_stats
 
 (* v2: multicore mutator domains — threaded runs now simulate real
-   domain interleavings (per-domain nurseries, ports, sharded mature
-   allocation), so cached threaded results from v1 are stale.
+   domain interleavings (per-domain nurseries and ports), so cached
+   threaded results from v1 are stale.
    v3: serve-mode results carry request counters and pause/latency
    histograms in a new [serve] field. *)
 let format_version = 3

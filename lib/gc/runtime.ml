@@ -31,7 +31,6 @@ type t = {
      by stamp, so the sink order is independent of which buffer fills
      first. *)
   mut_mems : Mem_iface.t array;
-  (* Also the width of every collection phase's plan/apply partition. *)
   domains : int;
   map : Kg_mem.Address_map.t;
   stats : Gc_stats.t;
@@ -187,12 +186,12 @@ let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
     if has_observer then
       Some
         (Immix_space.create ~words ~id:sp_mature_dram ~name:"mature-dram" ~arena:dram_arena
-           ~on_new_region:on_dram_region ~shards:domains ())
+           ~on_new_region:on_dram_region ())
     else None
   in
   let mature_pcm =
     Immix_space.create ~words ~id:sp_mature_pcm ~name:"mature-pcm" ~arena:main_arena
-      ~on_new_region:on_pcm_region ~shards:domains ()
+      ~on_new_region:on_pcm_region ()
   in
   let los_dram =
     if has_observer then
@@ -353,33 +352,6 @@ let process_remset t rs =
   Remset.clear rs
 
 (* ------------------------------------------------------------------ *)
-(* Plan/apply phase machinery                                          *)
-
-(* Every collection phase follows one protocol at width [domains]: a
-   *plan* step classifies each contiguous slice of the work into a
-   slice-private buffer (liveness and header predicates are stable
-   during the stop-the-world section — the clock does not advance and
-   no mutator runs), and an *apply* step replays the buffers in slice
-   order. [Parfor.slice] ranges concatenate back to the original index
-   order, so the apply visits exactly the objects a single-slice loop
-   visits, in the same order — stats, retirement streams, RNG draws,
-   allocation addresses and port records (batch boundaries included)
-   are bit-identical at any width. The width is what the modeled
-   parallel collector divides the work by; every slice runs on the
-   calling domain. *)
-let plan_filter width vec pred =
-  let n = Vec.length vec in
-  let picked = Array.init width (fun _ -> Vec.create ()) in
-  for i = 0 to width - 1 do
-    let lo, hi = Parfor.slice ~len:n ~width i in
-    for k = lo to hi do
-      let o = Vec.get vec k in
-      if pred o then Vec.push picked.(i) o
-    done
-  done;
-  picked
-
-(* ------------------------------------------------------------------ *)
 (* Collections                                                         *)
 
 let los_for_large t =
@@ -423,30 +395,25 @@ let collect_nursery t =
   let w = t.words in
   let st = t.stats in
   st.Gc_stats.nursery_gcs <- st.Gc_stats.nursery_gcs + 1;
-  (* A minor collection is stop-the-world across every domain. Plan:
-     slice [d] scavenges domain [d]'s private nursery, classifying the
-     survivors. Apply: promote in domain order — the sequential
-     evacuation order — before the shared remset is consumed. *)
+  (* A minor collection is stop-the-world across every domain: the
+     domains' private nurseries are scavenged in domain order before
+     the shared remset is consumed. *)
   let survived = ref 0 in
   let used =
     max 1 (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries)
   in
   let now = now t in
-  let live = Array.init t.domains (fun _ -> Vec.create ()) in
-  for d = 0 to t.domains - 1 do
-    Vec.iter
-      (fun o -> if O.is_live w o now then Vec.push live.(d) o)
-      (Bump_space.objects t.nurseries.(d))
-  done;
-  Array.iteri
-    (fun d nursery ->
+  Array.iter
+    (fun nursery ->
       Vec.iter
         (fun o ->
-          promote_nursery_object t o;
-          let osize = O.size w o in
-          survived := !survived + osize;
-          st.Gc_stats.copied_bytes_nursery <- st.Gc_stats.copied_bytes_nursery + osize)
-        live.(d);
+          if O.is_live w o now then begin
+            promote_nursery_object t o;
+            let osize = O.size w o in
+            survived := !survived + osize;
+            st.Gc_stats.copied_bytes_nursery <- st.Gc_stats.copied_bytes_nursery + osize
+          end)
+        (Bump_space.objects nursery);
       Bump_space.reset nursery)
     t.nurseries;
   st.Gc_stats.nursery_survived_bytes <- st.Gc_stats.nursery_survived_bytes + !survived;
@@ -473,31 +440,11 @@ let evacuate_observer t obs =
   let w = t.words in
   let st = t.stats in
   let mature_dram = Option.get t.mature_dram in
-  (* Plan: classify each slice of the observer population into dead /
-     surviving. Apply per slice: retirements first, then evacuations.
-     Relative to the sequential interleaved loop this reorders a
-     slice's copies after its retirements, which is observationally
-     invisible: retirements touch only the stats accumulators (no port
-     traffic), evacuations touch allocation and the port — and within
-     each kind the original order is preserved, so the retired-writes
-     log and the access stream are both bit-identical. *)
-  let width = t.domains in
-  let objs = Bump_space.objects obs in
-  let n = Vec.length objs in
   let now = now t in
-  let dead = Array.init width (fun _ -> Vec.create ()) in
-  let live = Array.init width (fun _ -> Vec.create ()) in
-  for i = 0 to width - 1 do
-    let lo, hi = Parfor.slice ~len:n ~width i in
-    for k = lo to hi do
-      let o = Vec.get objs k in
-      if O.is_live w o now then Vec.push live.(i) o else Vec.push dead.(i) o
-    done
-  done;
-  for i = 0 to width - 1 do
-    Vec.iter (fun o -> Gc_stats.retire st w o) dead.(i);
-    Vec.iter
-      (fun o ->
+  Vec.iter
+    (fun o ->
+      if not (O.is_live w o now) then Gc_stats.retire st w o
+      else begin
         let osize = O.size w o in
         st.Gc_stats.observer_survived_bytes <- st.Gc_stats.observer_survived_bytes + osize;
         st.Gc_stats.copied_bytes_observer <- st.Gc_stats.copied_bytes_observer + osize;
@@ -515,9 +462,9 @@ let evacuate_observer t obs =
           copy_traffic t ~old_addr o;
           st.Gc_stats.observer_to_pcm_bytes <- st.Gc_stats.observer_to_pcm_bytes + osize
         end;
-        O.set_age w o (min (O.age w o + 1) O.max_age))
-      live.(i)
-  done;
+        O.set_age w o (min (O.age w o + 1) O.max_age)
+      end)
+    (Bump_space.objects obs);
   Bump_space.reset obs
 
 (* Work performed between [snapshot] and now, for the pause log. *)
@@ -578,7 +525,7 @@ let sweep_immix t space meta_chunks =
   ignore
     (Immix_space.sweep space ~now:(now t) ~write_meta
        ~on_dead:(fun o -> Gc_stats.retire t.stats t.words o)
-       ~width:t.domains ())
+       ())
 
 (* Treadmill collection: snapping a live node rewrites two link words
    in its header, in whatever memory holds the object. *)
@@ -614,54 +561,43 @@ let major_gc_inner t =
     | Gc_config.Kg_writers { mdo; _ } -> mdo
     | _ -> false
   in
-  let width = t.domains in
-  (* Mark phase over the mature Immix spaces: plan the live slices,
-     apply [mark_object] (which issues the trace-read and
-     mark-write port traffic) in slice order. *)
+  (* Mark phase over the mature Immix spaces: [mark_object] issues the
+     trace-read and mark-write port traffic of each live object. *)
   let mark_space space ~in_pcm =
-    let live = plan_filter width (Immix_space.objects space) (fun o -> O.is_live w o now) in
-    Array.iter (Vec.iter (fun o -> mark_object t ~mdo ~in_pcm o)) live
+    Vec.iter
+      (fun o -> if O.is_live w o now then mark_object t ~mdo ~in_pcm o)
+      (Immix_space.objects space)
   in
   mark_space t.mature_pcm ~in_pcm:true;
   (match t.mature_dram with Some s -> mark_space s ~in_pcm:false | None -> ());
-  (* KG-W movement between mature spaces (§4.2.3). Each pass plans its
-     candidates (the movement predicate of an object depends only on
-     its own liveness and write words, which no other candidate's move
-     touches — moves rewrite the mover's addr/space/age and charge
-     referrer traffic against stats/mem/rng only) and applies the moves
-     in slice order. The PCM pass is planned only after the DRAM pass
-     has applied: its moves append to the PCM population, and those
-     appended objects — unwritten by construction, so never moved back
-     — must still be part of the pass-2 partition, exactly as the
-     sequential loop saw them. *)
+  (* KG-W movement between mature spaces (§4.2.3): unwritten DRAM
+     survivors to PCM, then written PCM survivors to DRAM. A move
+     appends the object to the destination's population, never to the
+     one being walked; the PCM pass also sees the objects the DRAM pass
+     appended, which are unwritten and so stay put. *)
   (match t.mature_dram with
   | Some mature_dram ->
-    let to_pcm =
-      plan_filter width (Immix_space.objects mature_dram) (fun o ->
-          O.is_live w o now && not (O.written w o))
+    let move o dst =
+      let old_addr = O.addr w o in
+      alloc_into_immix t dst o;
+      copy_traffic t ~old_addr o;
+      st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o;
+      referrer_update_writes t o
     in
-    Array.iter
-      (Vec.iter (fun o ->
-           let old_addr = O.addr w o in
-           alloc_into_immix t t.mature_pcm o;
-           copy_traffic t ~old_addr o;
-           st.Gc_stats.mature_moves_to_pcm <- st.Gc_stats.mature_moves_to_pcm + 1;
-           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o;
-           referrer_update_writes t o))
-      to_pcm;
-    let to_dram =
-      plan_filter width (Immix_space.objects t.mature_pcm) (fun o ->
-          O.is_live w o now && O.written w o && O.space w o = sp_mature_pcm)
-    in
-    Array.iter
-      (Vec.iter (fun o ->
-           let old_addr = O.addr w o in
-           alloc_into_immix t mature_dram o;
-           copy_traffic t ~old_addr o;
-           st.Gc_stats.mature_moves_to_dram <- st.Gc_stats.mature_moves_to_dram + 1;
-           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o;
-           referrer_update_writes t o))
-      to_dram;
+    Vec.iter
+      (fun o ->
+        if O.is_live w o now && not (O.written w o) then begin
+          st.Gc_stats.mature_moves_to_pcm <- st.Gc_stats.mature_moves_to_pcm + 1;
+          move o t.mature_pcm
+        end)
+      (Immix_space.objects mature_dram);
+    Vec.iter
+      (fun o ->
+        if O.is_live w o now && O.written w o && O.space w o = sp_mature_pcm then begin
+          st.Gc_stats.mature_moves_to_dram <- st.Gc_stats.mature_moves_to_dram + 1;
+          move o mature_dram
+        end)
+      (Immix_space.objects t.mature_pcm);
     (* Start a fresh monitoring epoch for the next major cycle. *)
     let fresh o =
       O.set_written w o false;
@@ -687,12 +623,6 @@ let major_gc_inner t =
       evicted;
     ignore (collect_los t los_dram ~keep:(fun _ -> true))
   | None -> ignore (collect_los t t.los_pcm ~keep:(fun _ -> true)));
-  (* The in-place header passes (fresh-epoch reset above, unmark here)
-     need no plan/apply split: a space's population vector holds each
-     object at most once between sweeps (movement pushes into the
-     *destination* vector and leaves only a stale source entry, which
-     the following sweep drops), so per-slice header writes would be
-     disjoint. *)
   Vec.iter (fun o -> O.set_marked w o false) (Immix_space.objects t.mature_pcm);
   (match t.mature_dram with
   | Some s -> Vec.iter (fun o -> O.set_marked w o false) (Immix_space.objects s)
@@ -719,7 +649,7 @@ let major_gc_inner t =
           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o
         end)
       victims;
-    ignore (Immix_space.sweep t.mature_pcm ~now ~width ())
+    ignore (Immix_space.sweep t.mature_pcm ~now ())
   | _ -> ());
   log_pause t Phase.Major_gc work0;
   Mem_iface.flush t.mem;

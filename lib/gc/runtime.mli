@@ -55,12 +55,12 @@ val create :
     (see {!Remset}). With one domain the runtime is byte-identical to
     the pre-domain implementation.
 
-    [domains] is also the width of every collection phase: a phase
-    plans each of [domains] contiguous slices of its work into a
-    slice-private buffer and applies the buffers in slice order (see
-    {!Kg_util.Parfor}). Every slice runs on the calling domain; the
-    width fixes the merge order, and the modeled parallel collector
-    divides collection work by it.
+    Every domain runs on the calling domain, and so does every
+    collection phase, as one sequential pass: the nurseries are
+    scavenged in domain order and the mature spaces share one Immix
+    allocation cursor. The modeled parallel collector
+    ([Kg_sim.Time_model]) divides the collection work by [domains]
+    arithmetically.
 
     [parallel_gc] is accepted and ignored: whether the simulated
     machine collects in parallel is a model parameter of the run

@@ -5,7 +5,8 @@
     under OS write partitioning, which owns its own page table), so
     placing a space in the DRAM or PCM arena decides which device its
     traffic hits. Requests are rounded up to the 4 KB page granularity,
-    matching "requests to the OS are at the page granularity" (§4.1). *)
+    matching "requests to the OS are at the page granularity" (§4.1).
+    An arena belongs to one runtime and is not thread-safe. *)
 
 type t
 

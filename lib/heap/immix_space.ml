@@ -18,21 +18,6 @@ type sweep_stats = {
   marked_lines : int;
 }
 
-(* One bump cursor into the block currently owned by a shard. Each
-   mutator domain allocates through its own shard under the shard's
-   lock; shards contend only on the shared block registry (the avail
-   list, arena growth, the population vector) — the "sharded
-   allocation lock" design. A single shard is exactly the pre-shard
-   single-cursor space: the same blocks are taken in the same order,
-   so single-domain address streams are unchanged. *)
-type shard = {
-  mutable cur : block option;
-  mutable scan_line : int;  (* next line to consider in [cur] *)
-  mutable cursor : int;
-  mutable cursor_limit : int;
-  lock : Mutex.t;
-}
-
 type t = {
   id : int;
   name : string;
@@ -47,8 +32,13 @@ type t = {
      mirrors queue membership so audits stay O(blocks). *)
   avail : block Vec.t;
   mutable avail_head : int;
-  shards : shard array;
-  registry : Mutex.t;  (* guards avail, arena growth, objects, live_bytes *)
+  (* The bump cursor: [cur] is the block being filled, [scan_line] the
+     next line to consider in it, [cursor .. cursor_limit) the current
+     run of free lines. *)
+  mutable cur : block option;
+  mutable scan_line : int;
+  mutable cursor : int;
+  mutable cursor_limit : int;
   objects : O.t Vec.t;
   mutable live_bytes : int;
   mutable allocs_since_sweep : int;
@@ -56,11 +46,7 @@ type t = {
 
 let blocks_per_region = Layout.mature_region / Layout.block
 
-let fresh_shard () =
-  { cur = None; scan_line = 0; cursor = 0; cursor_limit = 0; lock = Mutex.create () }
-
-let create ~words ~id ~name ~arena ?(on_new_region = fun ~base:_ -> ()) ?(shards = 1) () =
-  if shards <= 0 then invalid_arg "Immix_space.create: shards must be positive";
+let create ~words ~id ~name ~arena ?(on_new_region = fun ~base:_ -> ()) () =
   {
     id;
     name;
@@ -71,8 +57,10 @@ let create ~words ~id ~name ~arena ?(on_new_region = fun ~base:_ -> ()) ?(shards
     region_bases = [||];
     avail = Vec.create ();
     avail_head = 0;
-    shards = Array.init shards (fun _ -> fresh_shard ());
-    registry = Mutex.create ();
+    cur = None;
+    scan_line = 0;
+    cursor = 0;
+    cursor_limit = 0;
     objects = Vec.create ();
     live_bytes = 0;
     allocs_since_sweep = 0;
@@ -117,8 +105,8 @@ let next_free_run b from =
     let rec find_end i = if i >= n || Bytes.get b.line_marks i <> '\000' then i else find_end (i + 1) in
     Some (start, find_end start)
 
-(* Take the next block off the shared registry, growing the arena by a
-   region if the queue is dry. Caller holds [t.registry]. *)
+(* Take the next block off the allocation queue, growing the arena by
+   a region if the queue is dry. *)
 let rec take_avail t =
   if t.avail_head < Vec.length t.avail then begin
     let b = Vec.get t.avail t.avail_head in
@@ -132,60 +120,49 @@ let rec take_avail t =
   end
   else None
 
-let rec refill t sh =
-  match sh.cur with
+let rec refill t =
+  match t.cur with
   | Some b -> begin
-    match next_free_run b sh.scan_line with
+    match next_free_run b t.scan_line with
     | Some (start, stop) ->
-      sh.cursor <- b.b_base + (start * Layout.line);
-      sh.cursor_limit <- b.b_base + (stop * Layout.line);
-      sh.scan_line <- stop + 1;
+      t.cursor <- b.b_base + (start * Layout.line);
+      t.cursor_limit <- b.b_base + (stop * Layout.line);
+      t.scan_line <- stop + 1;
       true
     | None ->
-      sh.cur <- None;
-      refill t sh
+      t.cur <- None;
+      refill t
   end
   | None -> begin
-    Mutex.lock t.registry;
-    let b = take_avail t in
-    Mutex.unlock t.registry;
-    match b with
+    match take_avail t with
     | Some b ->
-      sh.cur <- Some b;
-      sh.scan_line <- 0;
-      sh.cursor <- 0;
-      sh.cursor_limit <- 0;
-      refill t sh
+      t.cur <- Some b;
+      t.scan_line <- 0;
+      t.cursor <- 0;
+      t.cursor_limit <- 0;
+      refill t
     | None -> false
   end
 
-let rec alloc_in t sh o =
+let rec alloc_in t o =
   let w = t.words in
   let osize = O.size w o in
-  if sh.cursor + osize <= sh.cursor_limit then begin
-    O.set_addr w o sh.cursor;
+  if t.cursor + osize <= t.cursor_limit then begin
+    O.set_addr w o t.cursor;
     O.set_space w o t.id;
-    sh.cursor <- sh.cursor + osize;
-    Mutex.lock t.registry;
+    t.cursor <- t.cursor + osize;
     t.live_bytes <- t.live_bytes + osize;
     t.allocs_since_sweep <- t.allocs_since_sweep + 1;
     Vec.push t.objects o;
-    Mutex.unlock t.registry;
     true
   end
-  else if refill t sh then alloc_in t sh o
+  else if refill t then alloc_in t o
   else false
 
-let alloc ?(shard = 0) t o =
+let alloc t o =
   if O.size t.words o > Layout.max_small_object then
     invalid_arg "Immix_space.alloc: large object";
-  let sh = t.shards.(shard) in
-  Mutex.lock sh.lock;
-  let ok = alloc_in t sh o in
-  Mutex.unlock sh.lock;
-  ok
-
-let shard_count t = Array.length t.shards
+  alloc_in t o
 
 let region_index_of_addr t addr =
   (* Binary search the region containing [addr]. *)
@@ -353,85 +330,42 @@ let audit t =
   end;
   List.rev !errs
 
-(* Sweep, in the collector's "plan, then apply in merged order"
-   protocol at [width] slices. Phase A classifies each contiguous
-   population range into kept / dead lists and computes every kept
-   object's line span, bucketed by the owning block's region shard.
-   Phase B replays the per-range buffers in range order — exactly the
-   order a single-range sweep visits the population, so the rebuilt
-   vector, the [on_dead] retirement stream and the byte accounting are
-   bit-identical at any width. Phase C clears and re-applies the line
-   maps per region shard: shard [j] owns blocks with
-   [region mod width = j], and the final marks are a set union —
-   independent of the order spans land. Phase D walks blocks in index
-   order to rebuild the allocation queue and emit [write_meta] records.
-   Width 1 therefore *is* the plain sweep, and every width produces the
-   same observable state. *)
-let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = fun _ -> ())
-    ?(width = 1) () =
+(* Sweep in one pass over the population: clear the line marks, then
+   keep each resident survivor, marking the lines it covers, and retire
+   the rest through [on_dead], both in population order. The block walk
+   that follows rebuilds the allocation queue and emits [write_meta] in
+   block index order. *)
+let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = fun _ -> ()) () =
   let w = t.words in
-  let n = Vec.length t.objects in
-  let kept = Array.init width (fun _ -> Vec.create ()) in
-  let dead = Array.init width (fun _ -> Vec.create ()) in
-  let kept_bytes = Array.make width 0 and dead_bytes = Array.make width 0 in
-  (* [spans.(i).(j)]: packed [(block lsl 14) lor (first lsl 7) lor last]
-     line spans planned by range [i] for region shard [j]. *)
-  let spans = Array.init width (fun _ -> Array.init width (fun _ -> Vec.create ())) in
-  for i = 0 to width - 1 do
-    let lo, hi = Parfor.slice ~len:n ~width i in
-    for k = lo to hi do
-      let o = Vec.get t.objects k in
-      if O.space w o = t.id then
-        if O.is_live w o now then begin
-          let oaddr = O.addr w o and osize = O.size w o in
-          Vec.push kept.(i) o;
-          kept_bytes.(i) <- kept_bytes.(i) + osize;
-          let b = block_of_addr t oaddr in
-          let first = (oaddr - b.b_base) / Layout.line in
-          let last =
-            min ((oaddr + osize - 1 - b.b_base) / Layout.line) (Layout.lines_per_block - 1)
-          in
-          let shard = b.b_index / blocks_per_region mod width in
-          Vec.push spans.(i).(shard) ((b.b_index lsl 14) lor (first lsl 7) lor last)
-        end
-        else begin
-          Vec.push dead.(i) o;
-          dead_bytes.(i) <- dead_bytes.(i) + O.size w o
-        end
-    done
-  done;
-  Vec.clear t.objects;
+  Vec.iter
+    (fun (b : block) ->
+      Bytes.fill b.line_marks 0 Layout.lines_per_block '\000';
+      b.marked_lines <- 0)
+    t.blocks;
   let swept_objects = ref 0 and swept_bytes = ref 0 and live = ref 0 in
-  for i = 0 to width - 1 do
-    Vec.iter (fun o -> Vec.push t.objects o) kept.(i);
-    live := !live + kept_bytes.(i);
-    swept_objects := !swept_objects + Vec.length dead.(i);
-    swept_bytes := !swept_bytes + dead_bytes.(i);
-    Vec.iter on_dead dead.(i)
-  done;
-  t.live_bytes <- !live;
-  for j = 0 to width - 1 do
-    for bi = 0 to Vec.length t.blocks - 1 do
-      if bi / blocks_per_region mod width = j then begin
-        let b = Vec.get t.blocks bi in
-        Bytes.fill b.line_marks 0 Layout.lines_per_block '\000';
-        b.marked_lines <- 0
+  Vec.filter_in_place
+    (fun o ->
+      if O.space w o <> t.id then false
+      else if O.is_live w o now then begin
+        live := !live + O.size w o;
+        let b = block_of_addr t (O.addr w o) in
+        let first, last = lines_of w o b in
+        for l = first to min last (Layout.lines_per_block - 1) do
+          if Bytes.get b.line_marks l = '\000' then begin
+            Bytes.set b.line_marks l '\001';
+            b.marked_lines <- b.marked_lines + 1
+          end
+        done;
+        true
       end
-    done;
-    for i = 0 to width - 1 do
-      Vec.iter
-        (fun packed ->
-          let b = Vec.get t.blocks (packed lsr 14) in
-          let first = (packed lsr 7) land 0x7f and last = packed land 0x7f in
-          for l = first to last do
-            if Bytes.get b.line_marks l = '\000' then begin
-              Bytes.set b.line_marks l '\001';
-              b.marked_lines <- b.marked_lines + 1
-            end
-          done)
-        spans.(i).(j)
-    done
-  done;
+      else begin
+        incr swept_objects;
+        swept_bytes := !swept_bytes + O.size w o;
+        on_dead o;
+        false
+      end)
+    t.objects;
+  t.live_bytes <- !live;
   Vec.clear t.avail;
   t.avail_head <- 0;
   let free = ref [] in
@@ -458,13 +392,10 @@ let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = f
     t.blocks;
   (* Allocation prefers partially filled blocks, then empty ones (§3). *)
   List.iter (fun b -> Vec.push t.avail b) (List.rev !free);
-  Array.iter
-    (fun sh ->
-      sh.cur <- None;
-      sh.cursor <- 0;
-      sh.cursor_limit <- 0;
-      sh.scan_line <- 0)
-    t.shards;
+  t.cur <- None;
+  t.cursor <- 0;
+  t.cursor_limit <- 0;
+  t.scan_line <- 0;
   t.allocs_since_sweep <- 0;
   {
     swept_objects = !swept_objects;

@@ -11,12 +11,9 @@
     (the MDO region granularity of §4.2.5); [on_new_region] lets the
     runtime allocate the matching DRAM mark table.
 
-    Allocation is sharded: each mutator domain bump-allocates through
-    its own shard (a private cursor into a block it owns) under the
-    shard's lock, and shards contend only on the shared block registry
-    when they need a fresh block. One shard (the default) is exactly
-    the pre-shard single-cursor space — same blocks in the same order,
-    so single-domain address streams are unchanged. *)
+    One bump cursor serves every simulated mutator domain: the runtime
+    runs them all on the calling domain, so the space is not
+    thread-safe. *)
 
 type t
 
@@ -35,23 +32,17 @@ val create :
   name:string ->
   arena:Arena.t ->
   ?on_new_region:(base:int -> unit) ->
-  ?shards:int ->
   unit ->
   t
-(** [shards] (default 1) is the number of independent allocation
-    cursors — one per mutator domain. *)
 
 val id : t -> int
 val name : t -> string
 val kind : t -> Kg_mem.Device.kind
 
-val alloc : ?shard:int -> t -> Object_model.t -> bool
-(** Allocate into free lines through [shard]'s cursor (default 0),
-    preferring recyclable blocks, then free blocks, then fresh arena
-    regions. Returns [false] only when the arena is exhausted. Safe to
-    call concurrently from different domains on different shards. *)
-
-val shard_count : t -> int
+val alloc : t -> Object_model.t -> bool
+(** Allocate into free lines, preferring recyclable blocks, then free
+    blocks, then fresh arena regions. Returns [false] only when the
+    arena is exhausted. *)
 
 val objects : t -> Object_model.t Kg_util.Vec.t
 (** Resident objects (live and not-yet-swept dead). *)
@@ -80,20 +71,17 @@ val sweep :
   now:float ->
   ?write_meta:(block_index:int -> lines:int -> unit) ->
   ?on_dead:(Object_model.t -> unit) ->
-  ?width:int ->
   unit ->
   sweep_stats
 (** Drop objects that died ([now]) or moved to another space, rebuild
-    line occupancy and the free/recyclable lists. [write_meta] is
-    called once per block that keeps marked lines, so the caller can
-    account the line-mark metadata write traffic.
-
-    [width] (default 1) is the number of plan slices: population ranges
-    are classified per {!Kg_util.Parfor.slice} and the line maps are
-    rebuilt per 4 MB region shard, while the [on_dead] stream, the
-    rebuilt population order and the [write_meta] record stream are
-    replayed in range / block order — observably identical to the
-    width-1 sweep at every width. *)
+    line occupancy and the free/recyclable lists, in one pass over the
+    population. Survivors keep their population order, and [on_dead]
+    sees the dead in population order (objects that moved away are
+    dropped without it). [write_meta] is then called once per block
+    that keeps marked lines, in ascending block index, so the caller
+    can account the line-mark metadata write traffic. The next
+    allocation lands in the lowest-index recyclable block, or the
+    lowest-index free block when none is recyclable. *)
 
 val remove_foreign : t -> unit
 (** Drop objects whose [space] no longer equals this space (moved away

@@ -27,7 +27,7 @@ val t_gc_fixed_ns : float
 
 val t_gc_sync_ns : float
 (** Extra fixed cost per collection for the modeled parallel collector
-    ([parallel_gc]): fork/join barriers and plan-buffer merging. *)
+    ([parallel_gc]): fork/join barriers and work-list merging. *)
 
 val t_barrier_fast_ns : float
 (** Fast-path reference/primitive barrier, per store. *)

@@ -311,45 +311,64 @@ let all_ids = List.map (fun (e : E.experiment) -> e.E.id) E.all
 let render_all env =
   List.map (fun (e : E.experiment) -> (e.E.id, Kg_util.Table.render (e.E.table env))) E.all
 
+(* Every job the figure set declares. *)
+let planned = List.concat_map (fun (e : E.experiment) -> e.E.runs o) E.all
+
+(* The cold pool pass over a fresh store: the counters it ends with,
+   the tables it renders and its result for every planned job. Both
+   determinism tests read it: at the default options [o] is the
+   fixture's, so the fixture comparison reuses these tables instead of
+   computing the figure set again. *)
+type cold_pass = {
+  dir : string;
+  hits : int;
+  misses : int;
+  tables : (string * string) list;
+  results : R.result list;
+}
+
+let cold_pass =
+  lazy
+    (let dir = temp_dir () in
+     let ex = Exec.create ~jobs:cold_jobs ~cache_dir:dir o in
+     Exec.prefetch_experiments ex all_ids;
+     let hits = Exec.hits ex and misses = Exec.misses ex in
+     let tables = render_all (Exec.env ex) in
+     let results = List.map (Exec.fetch ex) planned in
+     Exec.shutdown ex;
+     { dir; hits; misses; tables; results })
+
 let test_determinism () =
-  let dir = temp_dir () in
-  (* cold store, parallel pool *)
-  let ex4 = Exec.create ~jobs:cold_jobs ~cache_dir:dir o in
-  Exec.prefetch_experiments ex4 all_ids;
-  check_int "cold pass: everything computed" 0 (Exec.hits ex4);
-  check_bool "cold pass: something computed" true (Exec.misses ex4 > 0);
-  let tables4 = render_all (Exec.env ex4) in
+  let cold = Lazy.force cold_pass in
+  check_int "cold pass: everything computed" 0 cold.hits;
+  check_bool "cold pass: something computed" true (cold.misses > 0);
   (* cold, sequential, no store at all *)
   let ex1 = Exec.create ~jobs:1 ~cache:false o in
-  let tables1 = render_all (Exec.env ex1) in
   List.iter2
     (fun (id4, t4) (id1, t1) ->
       check_str "registry order" id4 id1;
       check_str
         (Printf.sprintf "%s: table byte-identical, jobs=%d vs jobs=1" id4 cold_jobs)
         t1 t4)
-    tables4 tables1;
+    cold.tables
+    (render_all (Exec.env ex1));
   (* field-for-field on every job the figure set declares *)
-  let planned = List.concat_map (fun (e : E.experiment) -> e.E.runs o) E.all in
   check_bool "figure set declares runs" true (planned <> []);
-  List.iter
-    (fun j ->
-      compare_results
-        (Printf.sprintf "planned job %s" (E.job_key o j))
-        (Exec.fetch ex1 j) (Exec.fetch ex4 j))
-    planned;
+  List.iter2
+    (fun j r4 ->
+      compare_results (Printf.sprintf "planned job %s" (E.job_key o j)) (Exec.fetch ex1 j) r4)
+    planned cold.results;
   Exec.shutdown ex1;
-  Exec.shutdown ex4;
   (* warm store, fresh engine: zero recomputation, identical bytes *)
-  let ex4w = Exec.create ~jobs:4 ~cache_dir:dir o in
+  let ex4w = Exec.create ~jobs:4 ~cache_dir:cold.dir o in
   Exec.prefetch_experiments ex4w all_ids;
   check_int "warm pass: zero recomputed runs" 0 (Exec.misses ex4w);
   check_bool "warm pass: served from the store" true (Exec.hits ex4w > 0);
   List.iter2
-    (fun (id, cold) (idw, warm) ->
+    (fun (id, c) (idw, w) ->
       check_str "registry order (warm)" id idw;
-      check_str (id ^ ": table byte-identical, warm vs cold") cold warm)
-    tables4
+      check_str (id ^ ": table byte-identical, warm vs cold") c w)
+    cold.tables
     (render_all (Exec.env ex4w));
   Exec.shutdown ex4w
 
@@ -373,16 +392,21 @@ let read_file path =
   s
 
 let test_pre_refactor_fixture () =
-  let ex = Exec.create ~jobs:cold_jobs ~cache:false fixture_opts in
-  Exec.prefetch_experiments ex all_ids;
-  let env = Exec.env ex in
+  let tables =
+    if o = fixture_opts then (Lazy.force cold_pass).tables
+    else begin
+      let ex = Exec.create ~jobs:cold_jobs ~cache:false fixture_opts in
+      Exec.prefetch_experiments ex all_ids;
+      let tables = render_all (Exec.env ex) in
+      Exec.shutdown ex;
+      tables
+    end
+  in
   List.iter
-    (fun (e : E.experiment) ->
-      let expected = read_file (Filename.concat fixture_dir (e.E.id ^ ".txt")) in
-      check_str (e.E.id ^ ": byte-identical to pre-refactor fixture") expected
-        (Kg_util.Table.render (e.E.table env)))
-    E.all;
-  Exec.shutdown ex
+    (fun (id, table) ->
+      let expected = read_file (Filename.concat fixture_dir (id ^ ".txt")) in
+      check_str (id ^ ": byte-identical to pre-refactor fixture") expected table)
+    tables
 
 (* ------------------------------------------------------------------ *)
 

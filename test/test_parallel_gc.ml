@@ -1,12 +1,11 @@
-(* Tests for the modeled parallel collector and the collector's
-   plan/apply phases at width > 1.
+(* Tests for the modeled parallel collector and for collections on a
+   multi-domain runtime.
 
-   Every collection phase plans [domains] contiguous slices of its work
-   into slice-private buffers and applies them in slice order, all on
-   the calling domain. [parallel_gc] is a model flag: it divides the
-   modeled collection time by the domain count and changes nothing
-   else. These tests check that flag, and run the phase-partition edge
-   cases (empty mature space, single live object, more slices than live
+   Every collection phase is one sequential pass on the calling domain,
+   whatever the domain count. [parallel_gc] is a model flag: it divides
+   the modeled collection time by the domain count and changes nothing
+   else. These tests check that flag, and run collection edge cases
+   (empty mature space, single live object, more domains than live
    objects, a defrag-triggering heap) through the heap auditor on a
    4-domain runtime. *)
 
@@ -40,8 +39,8 @@ let test_parallel_gc_shrinks_gc_time () =
   check_bool "parallel gc time smaller" true
     (rp.Run.time_parts.Time_model.gc_ns < rs.Run.time_parts.Time_model.gc_ns)
 
-(* The heap auditor stays green on a collector team of four: every
-   phase split into four plan slices. *)
+(* The heap auditor stays green on a 4-domain run, the collector team
+   that the modeled parallel collector divides the work over. *)
 let test_auditor_green_4_domains () =
   let r =
     Run.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads:4 ~check:true
@@ -51,7 +50,7 @@ let test_auditor_green_4_domains () =
   Alcotest.(check (list string)) "no violations" [] r.Run.check_violations
 
 (* ------------------------------------------------------------------ *)
-(* Phase-partition edge cases                                          *)
+(* Collection edge cases                                               *)
 
 (* Drive one scripted heap population on a bare 4-domain runtime, force
    a final major collection, and check the auditor's verdict on the
@@ -82,8 +81,8 @@ let test_edge_empty_mature () =
 let test_edge_single_live () =
   ignore (scenario "single live object" (fun rt -> ignore (alloc rt)))
 
-(* More plan slices than live objects: most ranges are empty, the
-   merge must still replay the populated ones in slice order. *)
+(* More domains than live objects: most nurseries are empty, and the
+   two survivors must still be promoted and marked. *)
 let test_edge_domains_exceed_live () =
   let sp =
     scenario "domains > live objects" (fun rt ->
@@ -94,7 +93,7 @@ let test_edge_domains_exceed_live () =
 
 (* A fragmented mature heap under an always-on defragmentation
    threshold: most promoted objects die mid-run, so the majors leave
-   sparse blocks and the sweep's evacuation planning runs too. *)
+   sparse blocks and the defragmenting evacuation runs too. *)
 let test_edge_defrag () =
   let populate rt =
     (* 6 MiB of 128-byte objects; 1 in 16 immortal, the rest dying at

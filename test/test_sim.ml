@@ -244,6 +244,36 @@ let test_cli_positive_int () =
   Alcotest.(check (option int)) "x rejected" None (accepted "x");
   Alcotest.(check (option int)) "2 accepted" (Some 2) (accepted "2")
 
+(* --rate and --cap-mb take positive integers too: 0 is a usage error,
+   not an exception from Server.create or a run that allocates nothing.
+   The serve term is evaluated in process; the run term lives in the
+   kingsguard executable, which is run with the bad argument. *)
+let test_cli_rejects_zero () =
+  let serve argv =
+    let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+    let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "serve") Kg_cli.Serve_cmd.term in
+    match Cmdliner.Cmd.eval_value ~err:quiet ~argv:(Array.of_list ("serve" :: argv)) cmd with
+    | Error `Parse -> true
+    | _ -> false
+  in
+  check_bool "serve --rate 0" true (serve [ "--rate"; "0" ]);
+  check_bool "serve --cap-mb 0" true (serve [ "--cap-mb"; "0" ]);
+  let run argv =
+    let err = Filename.temp_file "kg-cli" ".err" in
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/kingsguard_cli.exe" ~stdout:Filename.null ~stderr:err
+           ("run" :: argv))
+    in
+    let msg = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    (code, msg)
+  in
+  let code, msg = run [ "xalan"; "--cap-mb"; "0" ] in
+  check_int "run --cap-mb 0 exits with a usage error" Cmdliner.Cmd.Exit.cli_error code;
+  check_bool "the error names --cap-mb" true
+    (List.exists (fun w -> w = "'--cap-mb':") (String.split_on_char ' ' msg))
+
 let () =
   Alcotest.run "kg_sim"
     [
@@ -283,5 +313,9 @@ let () =
           Alcotest.test_case "cache reuse" `Quick test_experiments_cache_reuse;
           Alcotest.test_case "modes agree at barrier level" `Slow test_modes_agree_at_barrier_level;
         ] );
-      ("cli", [ Alcotest.test_case "positive int converter" `Quick test_cli_positive_int ]);
+      ( "cli",
+        [
+          Alcotest.test_case "positive int converter" `Quick test_cli_positive_int;
+          Alcotest.test_case "zero rate and cap rejected" `Quick test_cli_rejects_zero;
+        ] );
     ]
